@@ -11,7 +11,6 @@ concrete lattices with brute-force oracles alongside.
 
 from .errors import LatmedError
 from .lattice_median import (
-    MedianFamily,
     PredicateReport,
     check_median_theorem,
     check_regular,
@@ -43,7 +42,6 @@ __all__ = [
     "ChainPartition",
     "ExplicitLattice",
     "LatmedError",
-    "MedianFamily",
     "Poset",
     "PredicateReport",
     "VerifyConfig",

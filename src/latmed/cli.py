@@ -179,26 +179,9 @@ def cmd_repro_paper_example(ns):
     return _vectors_text(WORKED_INPUTS), results, violations
 
 
-def _verify_config(ns, seed):
-    kwargs = {"seed": seed}
-    if ns.trials is not None:
-        kwargs["subsets_per_instance"] = ns.trials
-    if ns.instances is not None:
-        scale = ns.instances / 200
-        kwargs["smp_instances"] = ns.instances
-        kwargs["market_instances"] = max(1, round(100 * scale))
-        kwargs["constrained_instances"] = max(1, round(50 * scale))
-        kwargs["median_families"] = max(1, round(1000 * scale))
-        kwargs["gate_trials"] = max(1, round(200 * scale))
-    if ns.max_n is not None:
-        kwargs["smp_n_max"] = max(3, min(ns.max_n, sm.ENUM_BOUND))
-        kwargs["market_n_max"] = max(2, min(ns.max_n, mc.ENUM_N_BOUND))
-    return VerifyConfig(**kwargs)
-
-
 def cmd_repro_verify(ns):
     seed = ns.seed if ns.seed is not None else DEFAULT_SEED
-    cfg = _verify_config(ns, seed)
+    cfg = VerifyConfig.scaled(seed, ns.instances, ns.trials, ns.max_n)
     outcomes = verify_suite(cfg)
     if not outcomes:
         return repr(cfg), [], []

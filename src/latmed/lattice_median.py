@@ -67,19 +67,6 @@ def medians_via_meet_join(vectors):
     return work
 
 
-@dataclass(frozen=True)
-class MedianFamily:
-    """A vector family together with its medians, for reporting."""
-
-    inputs: tuple
-    medians: tuple
-
-    @classmethod
-    def compute(cls, vectors):
-        vs = tuple(tuple(v) for v in vectors)
-        return cls(inputs=vs, medians=tuple(generalized_medians(vs)))
-
-
 def median_invariant_failures(inputs, medians):
     """Internal consistency of a median family, as failure strings.
 

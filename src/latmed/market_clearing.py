@@ -114,31 +114,23 @@ def _demands(inst, prices):
 class DemandGraph:
     demanded: tuple  # demanded[i] = ascending item indices buyer i demands
 
-    @property
-    def edges(self):
-        return tuple((i, j) for i, row in enumerate(self.demanded) for j in row)
-
 
 def demand_graph(inst, prices):
     p = _check_prices(inst, prices)
     return DemandGraph(demanded=tuple(_demands(inst, p)))
 
 
-def _max_matching(inst, demands):
-    return bipartite.max_matching(inst.n, inst.n, demands)
-
-
 def is_market_clearing(inst, prices):
     """Does the demand graph at these prices have a perfect matching?"""
     p = _check_prices(inst, prices)
-    match_l, _ = _max_matching(inst, _demands(inst, p))
+    match_l, _ = bipartite.max_matching(inst.n, inst.n, _demands(inst, p))
     return -1 not in match_l
 
 
 def clearing_matching(inst, prices):
     """One perfect matching supporting clearing prices, as buyer->item."""
     p = _check_prices(inst, prices)
-    match_l, _ = _max_matching(inst, _demands(inst, p))
+    match_l, _ = bipartite.max_matching(inst.n, inst.n, _demands(inst, p))
     if -1 in match_l:
         raise NotClearingInput(f"{p} does not clear the market")
     return tuple(match_l)
@@ -161,7 +153,7 @@ def min_clearing_prices(inst):
     max_rounds = n * (inst.price_cap + max(max(r) for r in inst.valuations) + 2) + 8
     for _ in range(max_rounds):
         demands = _demands(inst, p)
-        match_l, match_r = _max_matching(inst, demands)
+        match_l, match_r = bipartite.max_matching(n, n, demands)
         if -1 not in match_l:
             break
         _, seen_r = bipartite.alternating_reachable(n, demands, match_l, match_r)
@@ -192,7 +184,7 @@ def enumerate_clearing_vectors(inst, n_bound=ENUM_N_BOUND, cap_bound=ENUM_CAP_BO
         raise TooLarge(f"cap={inst.price_cap} exceeds enumeration bound {cap_bound}")
     out = []
     for cand in product(range(inst.price_cap + 1), repeat=inst.n):
-        match_l, _ = _max_matching(inst, _demands(inst, cand))
+        match_l, _ = bipartite.max_matching(inst.n, inst.n, _demands(inst, cand))
         if -1 not in match_l:
             out.append(cand)
     return out

@@ -164,45 +164,6 @@ def poset_from_covers(elements, covers) -> Poset:
     return Poset(elements=elements, covers=tuple(order), relation=relation)
 
 
-def parse_poset(text: str) -> Poset:
-    """Parse the line-oriented poset format.
-
-    header 'poset <n>', then one 'elem <label>' line per element and one
-    'cover <lo> <hi>' line per cover pair.
-    """
-    from .errors import MalformedFile
-
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MalformedFile("empty poset file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "poset":
-        raise MalformedFile(f"bad header: {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise MalformedFile(f"bad element count: {head[1]!r}") from None
-    elements, covers = [], []
-    for ln in lines[1:]:
-        tok = ln.split()
-        if tok[0] == "elem" and len(tok) == 2:
-            elements.append(tok[1])
-        elif tok[0] == "cover" and len(tok) == 3:
-            covers.append((tok[1], tok[2]))
-        else:
-            raise MalformedFile(f"unrecognized line: {ln!r}")
-    if len(elements) != n:
-        raise MalformedFile(f"header says {n} elements, found {len(elements)}")
-    return poset_from_covers(elements, covers)
-
-
-def serialize_poset(poset: Poset) -> str:
-    lines = [f"poset {len(poset.elements)}"]
-    lines += [f"elem {x}" for x in poset.elements]
-    lines += [f"cover {lo} {hi}" for lo, hi in poset.covers]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # chain partitions
 
@@ -336,7 +297,7 @@ class ExplicitLattice:
     """Finite distributive lattice given by its full order relation.
 
     Construction validates that every pair has a unique meet and join and
-    that meet distributes over join (exhaustively; inputs are desk scale).
+    that the lattice is distributive.
     """
 
     elements: tuple
@@ -430,44 +391,56 @@ def lattice_from_vectors(vectors) -> ExplicitLattice:
     return explicit_lattice(vectors, pairs)
 
 
+def _irreducible_mask(down):
+    """Bitmask of the join-irreducible elements, given every down mask.
+
+    x has exactly one lower cover y precisely when the elements strictly
+    below x have a greatest one, i.e. when down(x) without x is down(y).
+    The bottom never qualifies: no element's down mask is empty.
+    """
+    downs = set(down)
+    mask = 0
+    for i, d in enumerate(down):
+        if d ^ (1 << i) in downs:
+            mask |= 1 << i
+    return mask
+
+
 def _check_distributive(lat):
-    for x in lat.elements:
-        for y in lat.elements:
-            for z in lat.elements:
-                lhs = lat.meet_of(x, lat.join_of(y, z))
-                rhs = lat.join_of(lat.meet_of(x, y), lat.meet_of(x, z))
-                if lhs != rhs:
-                    raise NotDistributive(
-                        f"meet does not distribute over join at ({x}, {y}, {z})"
-                    )
+    # Birkhoff: a finite lattice is distributive exactly when x -> J(x), the
+    # join-irreducibles at or below x, turns every join into a union.
+    down = lat._down_masks
+    irr = _irreducible_mask(down)
+    below = {x: down[i] & irr for i, x in enumerate(lat.elements)}
+    for a in lat.elements:
+        for b in lat.elements:
+            if below[lat.join_of(a, b)] != below[a] | below[b]:
+                raise NotDistributive(
+                    f"join-irreducibles below {a} v {b} are not those below "
+                    f"{a} or {b}"
+                )
 
 
 def join_irreducibles(lat: ExplicitLattice) -> Poset:
     """Sub-poset of elements with exactly one lower cover in the lattice."""
-    strictly_below = {
-        x: [y for y in lat.elements if y != x and lat.leq(y, x)] for x in lat.elements
-    }
-    irr = []
-    for x in lat.elements:
-        below = strictly_below[x]
-        covers_of_x = [
-            y for y in below
-            if not any(z != y and lat.leq(y, z) for z in below)
+    down = lat._down_masks
+    irr = _irreducible_mask(down)
+    members = [i for i in range(len(down)) if irr >> i & 1]
+    covers = []
+    for y in members:
+        below = (down[y] & irr) ^ (1 << y)
+        # an irreducible below y is a lower cover of y in the sub-poset
+        # unless another irreducible below y lies above it
+        shadowed = 0
+        for x in members:
+            if below >> x & 1:
+                shadowed |= down[x] ^ (1 << x)
+        covers += [
+            (lat.elements[x], lat.elements[y])
+            for x in members
+            if (below & ~shadowed) >> x & 1
         ]
-        if len(covers_of_x) == 1:
-            irr.append(x)
-    irr_set = set(irr)
-    induced_covers = []
-    for x in irr:
-        for y in irr:
-            if x != y and lat.leq(x, y):
-                between = [
-                    z for z in irr_set
-                    if z != x and z != y and lat.leq(x, z) and lat.leq(z, y)
-                ]
-                if not between:
-                    induced_covers.append((x, y))
-    return poset_from_covers(irr, induced_covers)
+    return poset_from_covers([lat.elements[i] for i in members], covers)
 
 
 def birkhoff_round_trip(lat: ExplicitLattice):

@@ -9,12 +9,12 @@ string attached.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from . import market_clearing as mc
 from . import stable_matching as sm
-from .errors import LatmedError, NotRegular
+from .errors import LatmedError, NotRegular, OutOfBounds
 from .lattice_median import (
     check_median_theorem,
     check_regular,
@@ -61,6 +61,35 @@ class VerifyConfig:
     constrained_instances: int = 50
     gate_trials: int = 200
     birkhoff_max_elements: int = 50
+
+    @classmethod
+    def scaled(cls, seed, instances=None, trials=None, max_n=None):
+        """The default config, adjusted by the `repro verify` flags.
+
+        `instances` replaces the stable-matching instance count and scales
+        the other batteries' counts by the same factor (at least 1 each);
+        `trials` is the median subsets per instance; `max_n` caps instance
+        sizes, clamped to the enumeration bounds.
+        """
+        base = cls(seed=seed)
+        changes = {}
+        if trials is not None:
+            if trials < 0:
+                raise OutOfBounds(f"trials must be nonnegative, got {trials}")
+            changes["subsets_per_instance"] = trials
+        if instances is not None:
+            if instances < 0:
+                raise OutOfBounds(f"instances must be nonnegative, got {instances}")
+            scale = instances / base.smp_instances
+            changes["smp_instances"] = instances
+            for name in ("market_instances", "constrained_instances",
+                         "median_families", "gate_trials"):
+                changes[name] = max(1, round(getattr(base, name) * scale))
+        if max_n is not None:
+            changes["smp_n_max"] = max(base.smp_n_min, min(max_n, sm.ENUM_BOUND))
+            changes["market_n_max"] = max(base.market_n_min,
+                                          min(max_n, mc.ENUM_N_BOUND))
+        return replace(base, **changes)
 
 
 @dataclass(frozen=True)

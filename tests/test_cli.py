@@ -150,6 +150,12 @@ def test_verify_zero_trials_empty_report(capsys):
     assert report.exit_code == 0 and out == ""
 
 
+def test_verify_rejects_negative_counts(capsys):
+    for flags in (["--trials", "-1", "--instances", "2"], ["--instances", "-3"]):
+        report, out = run(capsys, "repro", "verify", *flags)
+        assert report.exit_code == 1 and out.startswith("OutOfBounds")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "latmed.cli", "repro", "paper-example"],

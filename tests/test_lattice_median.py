@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from latmed.errors import EmptyInput, NotRegular, ShapeMismatch
 from latmed.lattice_median import (
     EXHAUSTIVE_BOUND,
-    MedianFamily,
     check_median_theorem,
     check_regular,
     generalized_medians,
@@ -86,12 +85,6 @@ def test_validation_errors():
         generalized_medians([(1, 2), (1, 2, 3)])
     with pytest.raises(EmptyInput):
         medians_via_meet_join([])
-
-
-def test_median_family_record():
-    fam = MedianFamily.compute(WORKED_INPUTS)
-    assert fam.inputs == tuple(tuple(v) for v in WORKED_INPUTS)
-    assert list(fam.medians) == WORKED_MEDIANS
 
 
 def test_invariant_checker_can_fail():

@@ -28,10 +28,8 @@ from latmed.order_core import (
     join_irreducibles,
     lattice_from_vectors,
     meet,
-    parse_poset,
     parse_vector,
     poset_from_covers,
-    serialize_poset,
     vec_leq,
     vector_to_ideal,
 )
@@ -75,6 +73,56 @@ def brute_force_ideals(poset):
             if all(y in s for x in s for y in elems if poset.leq(y, x)):
                 out.append(s)
     return out
+
+
+def distributivity_failure(elements, meet_of, join_of):
+    # oracle: the first triple where meet fails to distribute over join
+    for x in elements:
+        for y in elements:
+            for z in elements:
+                if meet_of(x, join_of(y, z)) != join_of(meet_of(x, y), meet_of(x, z)):
+                    return x, y, z
+    return None
+
+
+def brute_force_lower_covers(lat, elements, x):
+    # oracle: maximal members of `elements` strictly below x
+    below = [y for y in elements if y != x and lat.leq(y, x)]
+    return [y for y in below if not any(z != y and lat.leq(y, z) for z in below)]
+
+
+def subset(a, b):
+    return a & ~b == 0
+
+
+def random_closure_system(rng, m):
+    # subsets of range(m) as bitmasks, closed under intersection, with the top
+    top = (1 << m) - 1
+    family = {top}
+    for _ in range(rng.randint(1, 2 * m)):
+        g = rng.randrange(1 << m)
+        family |= {g & f for f in family} | {g}
+    return sorted(family)
+
+
+def times_two_chain(elements, pairs):
+    # product order with the chain 0 < 1
+    leq = set(pairs) | {(x, x) for x in elements}
+    return (
+        [(x, i) for x in elements for i in (0, 1)],
+        [((a, i), (b, j)) for a, b in leq for i in (0, 1) for j in (0, 1) if i <= j],
+    )
+
+
+DIAMOND = (  # M3: three incomparable atoms; modular, not distributive
+    ["bot", "p", "q", "r", "top"],
+    [("bot", x) for x in "pqr"] + [(x, "top") for x in ("bot", "p", "q", "r")],
+)
+PENTAGON = (  # N5: bot < a < top, bot < b < c < top
+    ["bot", "a", "b", "c", "top"],
+    [("bot", x) for x in "abc"] + [(x, "top") for x in ("bot", "a", "b", "c")]
+    + [("b", "c")],
+)
 
 
 def test_vector_ops_basics():
@@ -137,14 +185,6 @@ def test_linear_extension_respects_order():
         pos = {x: i for i, x in enumerate(p.linear_extension)}
         for lo, hi in p.covers:
             assert pos[lo] < pos[hi]
-
-
-def test_poset_text_round_trip():
-    p = poset_from_covers(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])
-    q = parse_poset(serialize_poset(p))
-    assert q.elements == p.elements
-    assert q.covers == p.covers
-    assert q.relation == p.relation
 
 
 def test_chain_partition_is_minimum():
@@ -244,21 +284,54 @@ def test_explicit_lattice_rejects_non_lattice():
 
 
 def test_explicit_lattice_rejects_diamond():
-    # M3: three incomparable atoms between bottom and top; modular, not
-    # distributive
-    elems = ["bot", "p", "q", "r", "top"]
-    pairs = [("bot", x) for x in elems] + [(x, "top") for x in elems]
-    with pytest.raises(NotDistributive):
-        explicit_lattice(elems, pairs)
+    for elements, pairs in (DIAMOND, times_two_chain(*DIAMOND)):
+        with pytest.raises(NotDistributive):
+            explicit_lattice(elements, pairs)
 
 
 def test_explicit_lattice_rejects_pentagon():
-    # N5: bot < a < top, bot < b < c < top, a incomparable to b and c
-    elems = ["bot", "a", "b", "c", "top"]
-    pairs = [("bot", x) for x in elems] + [(x, "top") for x in elems]
-    pairs += [("b", "c")]
-    with pytest.raises(NotDistributive):
-        explicit_lattice(elems, pairs)
+    for elements, pairs in (PENTAGON, times_two_chain(*PENTAGON)):
+        with pytest.raises(NotDistributive):
+            explicit_lattice(elements, pairs)
+
+
+def test_distributivity_matches_triple_loop_on_closure_systems():
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(500):
+        family = random_closure_system(rng, rng.randint(2, 5))
+
+        def join_of(a, b):
+            # least member containing both: the closure of the union
+            return min((f for f in family if subset(a | b, f)), key=int.bit_count)
+
+        distributive = distributivity_failure(family, int.__and__, join_of) is None
+        outcomes[distributive] += 1
+        pairs = [(a, b) for a in family for b in family if subset(a, b)]
+        if distributive:
+            explicit_lattice(family, pairs)
+        else:
+            with pytest.raises(NotDistributive):
+                explicit_lattice(family, pairs)
+    assert min(outcomes.values()) > 100  # both verdicts are exercised
+
+
+def test_join_irreducibles_match_lower_cover_filter():
+    rng = random.Random(37)
+    checked = 0
+    while checked < 200:
+        family = random_closure_system(rng, rng.randint(2, 5))
+        pairs = [(a, b) for a in family for b in family if subset(a, b)]
+        try:
+            lat = explicit_lattice(family, pairs)
+        except NotDistributive:
+            continue
+        checked += 1
+        irr = [x for x in family if len(brute_force_lower_covers(lat, family, x)) == 1]
+        covers = {(x, y) for y in irr for x in brute_force_lower_covers(lat, irr, y)}
+        jp = join_irreducibles(lat)
+        assert jp.elements == tuple(irr)
+        assert set(jp.covers) == covers
 
 
 def test_explicit_lattice_rejects_intransitive_relation():

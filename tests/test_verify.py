@@ -38,6 +38,17 @@ def test_zero_subsets_is_empty():
     assert verify_suite(VerifyConfig(subsets_per_instance=0)) == []
 
 
+def test_scaled_config():
+    assert VerifyConfig.scaled(7) == VerifyConfig(seed=7)
+    cfg = VerifyConfig.scaled(7, instances=20, trials=4, max_n=99)
+    assert (cfg.smp_instances, cfg.market_instances, cfg.constrained_instances,
+            cfg.median_families, cfg.gate_trials) == (20, 10, 5, 100, 20)
+    assert cfg.subsets_per_instance == 4
+    assert (cfg.smp_n_max, cfg.market_n_max) == (8, 4)  # the enumeration bounds
+    tiny = VerifyConfig.scaled(7, instances=1, max_n=1)
+    assert (tiny.market_instances, tiny.smp_n_max, tiny.market_n_max) == (1, 3, 2)
+
+
 def test_worked_example_battery():
     r = worked_example_battery()
     assert r.passed and r.checked == 1
