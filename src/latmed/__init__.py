@@ -34,7 +34,6 @@ from .order_core import (
     parse_vector,
     poset_from_covers,
     vec_leq,
-    vector_to_ideal,
 )
 from .verify import VerifyConfig, verify_suite
 
@@ -62,7 +61,6 @@ __all__ = [
     "parse_vector",
     "poset_from_covers",
     "vec_leq",
-    "vector_to_ideal",
     "verify_suite",
 ]
 

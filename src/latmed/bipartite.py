@@ -2,7 +2,8 @@
 
 Deterministic: left vertices are processed in index order and adjacency
 lists are scanned in the order given, so equal inputs always produce the
-same matching. Sizes here are desk scale; no Hopcroft-Karp needed.
+same matching. The depth-first search keeps its path on an explicit
+stack, so path length is not limited by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,20 +20,34 @@ def max_matching(n_left: int, n_right: int, adj: Sequence[Sequence[int]]):
     """
     match_l = [-1] * n_left
     match_r = [-1] * n_right
-
-    def try_augment(u, seen):
-        for v in adj[u]:
-            if v in seen:
+    for root in range(n_left):
+        # depth-first search for an augmenting path from root, visiting
+        # vertices in the order of the recursive formulation; lefts is the
+        # path so far and edges[d] the unscanned adjacency of lefts[d]
+        seen = set()
+        lefts = [root]
+        edges = [iter(adj[root])]
+        while edges:
+            for v in edges[-1]:
+                if v not in seen:
+                    break
+            else:
+                edges.pop()  # dead end: the previous vertex tries its next edge
+                lefts.pop()
                 continue
             seen.add(v)
-            if match_r[v] == -1 or try_augment(match_r[v], seen):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        return False
-
-    for u in range(n_left):
-        try_augment(u, set())
+            w = match_r[v]
+            if w == -1:
+                # augment: each left vertex on the path takes the right
+                # vertex it tried, which its successor gives up
+                for u in reversed(lefts):
+                    prev = match_l[u]
+                    match_l[u] = v
+                    match_r[v] = u
+                    v = prev
+                break
+            lefts.append(w)
+            edges.append(iter(adj[w]))
     return match_l, match_r
 
 

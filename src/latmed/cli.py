@@ -180,12 +180,11 @@ def cmd_repro_paper_example(ns):
 
 
 def cmd_repro_verify(ns):
-    seed = ns.seed if ns.seed is not None else DEFAULT_SEED
-    cfg = VerifyConfig.scaled(seed, ns.instances, ns.trials, ns.max_n)
+    cfg = VerifyConfig.scaled(ns.seed, ns.instances, ns.trials, ns.max_n)
     outcomes = verify_suite(cfg)
     if not outcomes:
         return repr(cfg), [], []
-    results = [f"rng: {RNG_ALGORITHM}", f"seed: {seed}"]
+    results = [f"rng: {RNG_ALGORITHM}", f"seed: {ns.seed}"]
     violations = []
     for r in outcomes:
         mark = "PASS" if r.passed else "FAIL"
@@ -200,20 +199,18 @@ def cmd_repro_verify(ns):
 
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None,
-                        help=f"seed for randomized checks (default {DEFAULT_SEED})")
     shared.add_argument("--json", action="store_true", default=False,
                         help="emit the report as a JSON object")
-    shared.add_argument("--max-n", type=int, default=None, dest="max_n",
-                        help="override the instance-size bound for enumeration")
-    shared.add_argument("--trials", type=int, default=None,
-                        help="trial count for randomized checks")
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--max-n", type=int, default=None, dest="max_n",
+                         help="override the instance-size bound for enumeration")
 
     parser = argparse.ArgumentParser(
         prog="latmed",
         description="Medians on finite distributive lattices: "
                     "stable matchings and market clearing prices.",
     )
+    parser.set_defaults(seed=DEFAULT_SEED)  # reported by every command
     groups = parser.add_subparsers(dest="group", required=True)
 
     lattice = groups.add_parser("lattice", help="raw count-vector families")
@@ -234,7 +231,8 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--side", choices=("men", "women"), default="men")
     p.set_defaults(handler=cmd_smp_solve, command="smp solve")
-    p = ssub.add_parser("enumerate", parents=[shared], help="all stable matchings")
+    p = ssub.add_parser("enumerate", parents=[shared, bounded],
+                        help="all stable matchings")
     p.add_argument("file")
     p.set_defaults(handler=cmd_smp_enumerate, command="smp enumerate")
     p = ssub.add_parser("median", parents=[shared],
@@ -253,7 +251,7 @@ def build_parser():
     p = msub.add_parser("clear", parents=[shared], help="minimum clearing prices")
     p.add_argument("file")
     p.set_defaults(handler=cmd_market_clear, command="market clear")
-    p = msub.add_parser("enumerate", parents=[shared],
+    p = msub.add_parser("enumerate", parents=[shared, bounded],
                         help="all clearing vectors in the price box")
     p.add_argument("file")
     p.set_defaults(handler=cmd_market_enumerate, command="market enumerate")
@@ -273,10 +271,14 @@ def build_parser():
     p = rsub.add_parser("paper-example", parents=[shared],
                         help="the worked 2-coordinate median example")
     p.set_defaults(handler=cmd_repro_paper_example, command="repro paper-example")
-    p = rsub.add_parser("verify", parents=[shared],
+    p = rsub.add_parser("verify", parents=[shared, bounded],
                         help="the full randomized verification battery")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"seed for randomized checks (default {DEFAULT_SEED})")
     p.add_argument("--instances", type=int, default=None,
                    help="stable-matching instance count; other batteries scale")
+    p.add_argument("--trials", type=int, default=None,
+                   help="trial count for randomized checks")
     p.set_defaults(handler=cmd_repro_verify, command="repro verify")
     return parser
 
@@ -290,9 +292,6 @@ def dispatch(argv):
         violations = () if code == 0 else ("usage error",)
         return RunReport(command=" ".join(argv), digest="", results=(),
                          violations=violations, seed=DEFAULT_SEED, exit_code=code)
-    if not hasattr(ns, "instances"):
-        ns.instances = None
-    seed = ns.seed if ns.seed is not None else DEFAULT_SEED
     try:
         source, results, violations = ns.handler(ns)
     except LatmedError as e:
@@ -304,7 +303,7 @@ def dispatch(argv):
         digest=_digest(source),
         results=tuple(results),
         violations=tuple(violations),
-        seed=seed,
+        seed=ns.seed,
         exit_code=0 if not violations else 1,
     )
     if ns.json:

@@ -95,22 +95,19 @@ class PredicateReport:
     counterexample: tuple | None = None  # (x, y, "meet" | "join")
 
 
-def check_regular(elements, satisfies=None):
+def check_regular(elements):
     """Is the given set closed under pairwise meet and join?
 
-    `satisfies` decides membership of the computed meets and joins; it
-    defaults to membership in `elements` itself, which is the right oracle
-    when `elements` is the complete satisfying set of a predicate. Pairs
-    are scanned in input order and the first violation is reported.
+    When `elements` is the complete satisfying set of a predicate, this
+    decides whether the predicate is regular. Pairs are scanned in input
+    order and the first violation is reported.
     """
     vs = [tuple(v) for v in elements]
-    if satisfies is None:
-        members = set(vs)
-        satisfies = members.__contains__
+    members = set(vs)
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
             for op, fn in (("meet", meet), ("join", join)):
-                if not satisfies(fn(vs[i], vs[j])):
+                if fn(vs[i], vs[j]) not in members:
                     return PredicateReport(False, (vs[i], vs[j], op))
     return PredicateReport(True)
 

@@ -110,16 +110,6 @@ def _demands(inst, prices):
     return demands
 
 
-@dataclass(frozen=True)
-class DemandGraph:
-    demanded: tuple  # demanded[i] = ascending item indices buyer i demands
-
-
-def demand_graph(inst, prices):
-    p = _check_prices(inst, prices)
-    return DemandGraph(demanded=tuple(_demands(inst, p)))
-
-
 def is_market_clearing(inst, prices):
     """Does the demand graph at these prices have a perfect matching?"""
     p = _check_prices(inst, prices)

@@ -83,20 +83,29 @@ def parse_vector(text: str):
 # posets
 
 
+def _bits(mask):
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Poset:
-    """Finite partial order over opaque labels.
+    """Finite partial order over opaque labels, stored as down-set bitmasks.
 
-    `relation` is the reflexive-transitive closure of `covers`; use the
-    factory `poset_from_covers` which computes and validates it.
+    Bit j of `down[i]` is set exactly when elements[j] <= elements[i], so
+    every mask holds its own bit. `poset_from_covers` builds and validates
+    one; everything else is read off the masks.
     """
 
     elements: tuple
-    covers: tuple
-    relation: frozenset
+    down: tuple
 
     def leq(self, a, b) -> bool:
-        return (a, b) in self.relation
+        idx = self.index
+        return bool(self.down[idx[b]] >> idx[a] & 1)
 
     def __len__(self):
         return len(self.elements)
@@ -106,62 +115,79 @@ class Poset:
         return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
+    def up(self):
+        """Per-element bitmask of the elements at or above it."""
+        up = [0] * len(self.down)
+        for i, d in enumerate(self.down):
+            for j in _bits(d):
+                up[j] |= 1 << i
+        return tuple(up)
+
+    @cached_property
     def lower_covers(self):
-        lc = {x: [] for x in self.elements}
-        for lo, hi in self.covers:
-            lc[hi].append(lo)
-        return {x: tuple(v) for x, v in lc.items()}
+        # y < x is covered by x unless y lies below another element below x
+        els, down = self.elements, self.down
+        lc = {}
+        for i, d in enumerate(down):
+            strict = d ^ (1 << i)
+            shadowed = 0
+            for j in _bits(strict):
+                shadowed |= down[j] ^ (1 << j)
+            lc[els[i]] = tuple(els[j] for j in _bits(strict & ~shadowed))
+        return lc
+
+    @cached_property
+    def covers(self):
+        """The Hasse diagram as (lower, upper) pairs, in label order."""
+        idx = self.index
+        pairs = [(lo, hi) for hi, los in self.lower_covers.items() for lo in los]
+        return tuple(sorted(pairs, key=lambda p: (idx[p[0]], idx[p[1]])))
 
     @cached_property
     def linear_extension(self):
         """Elements ordered so that smaller elements come first."""
-        below = {x: sum(1 for y in self.elements if y != x and self.leq(y, x))
-                 for x in self.elements}
-        return tuple(sorted(self.elements, key=lambda x: (below[x], self.index[x])))
+        down = self.down
+        order = sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i))
+        return tuple(self.elements[i] for i in order)
 
 
 def poset_from_covers(elements, covers) -> Poset:
-    """Build a Poset from cover pairs, computing the transitive closure.
+    """Build a Poset from cover pairs; redundant transitive pairs are fine.
 
-    Rejects duplicate labels, pairs mentioning unknown labels, and cyclic
-    cover relations.
+    Down masks are accumulated in Kahn topological order, O(n + |covers|)
+    mask unions. Rejects duplicate labels, pairs mentioning unknown
+    labels, and cyclic cover relations.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
         raise UnknownLabel("duplicate element labels")
-    known = set(elements)
-    covers = tuple(tuple(p) for p in covers)
+    idx = {x: i for i, x in enumerate(elements)}
+    n = len(elements)
+    above = [[] for _ in range(n)]
+    pending = [0] * n  # lower covers not yet merged into down[i]
     for lo, hi in covers:
-        if lo not in known or hi not in known:
+        if lo not in idx or hi not in idx:
             raise UnknownLabel(f"cover ({lo}, {hi}) mentions unknown label")
         if lo == hi:
             raise CycleDetected(f"self-loop on {lo}")
+        above[idx[lo]].append(idx[hi])
+        pending[idx[hi]] += 1
 
-    n = len(elements)
-    idx = {x: i for i, x in enumerate(elements)}
-    reach = [[False] * n for _ in range(n)]
-    for lo, hi in covers:
-        reach[idx[lo]][idx[hi]] = True
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
+    down = [1 << i for i in range(n)]
+    ready = [i for i in range(n) if not pending[i]]
+    while ready:
+        i = ready.pop()
+        for j in above[i]:
+            down[j] |= down[i]
+            pending[j] -= 1
+            if not pending[j]:
+                ready.append(j)
     for i in range(n):
-        if reach[i][i]:
-            raise CycleDetected(f"cycle through {elements[i]}")
-
-    relation = frozenset(
-        (elements[i], elements[j])
-        for i in range(n)
-        for j in range(n)
-        if reach[i][j] or i == j
-    )
-    order = sorted(set(covers), key=lambda p: (idx[p[0]], idx[p[1]]))
-    return Poset(elements=elements, covers=tuple(order), relation=relation)
+        if pending[i]:
+            raise CycleDetected(
+                f"cover relation has a cycle at or below {elements[i]}"
+            )
+    return Poset(elements=elements, down=tuple(down))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +206,6 @@ class ChainPartition:
             x: (i, d) for i, chain in enumerate(self.chains) for d, x in enumerate(chain)
         }
 
-    def lengths(self):
-        return tuple(len(c) for c in self.chains)
-
 
 def chain_partition(poset: Poset) -> ChainPartition:
     """Minimum chain partition via maximum matching on strict comparability.
@@ -194,11 +217,7 @@ def chain_partition(poset: Poset) -> ChainPartition:
     Deterministic: vertices and adjacency follow the input label order.
     """
     n = len(poset.elements)
-    idx = poset.index
-    adj = [
-        [idx[y] for y in poset.elements if x != y and poset.leq(x, y)]
-        for x in poset.elements
-    ]
+    adj = [list(_bits(u ^ (1 << i))) for i, u in enumerate(poset.up)]
     match_l, match_r = bipartite.max_matching(n, n, adj)
 
     chains = []
@@ -232,25 +251,6 @@ def ideal_to_vector(poset: Poset, cp: ChainPartition, ideal):
     for x in members:
         counts[cp.chain_of[x][0]] += 1
     return tuple(counts)
-
-
-def vector_to_ideal(poset: Poset, cp: ChainPartition, v):
-    """Decode per-chain prefix counts back to the element set."""
-    if len(v) != len(cp.chains):
-        raise ShapeMismatch(
-            f"vector has {len(v)} components for {len(cp.chains)} chains"
-        )
-    for c, chain in zip(v, cp.chains):
-        if not 0 <= c <= len(chain):
-            raise OutOfBounds(f"count {c} outside [0, {len(chain)}]")
-    members = set()
-    for c, chain in zip(v, cp.chains):
-        members.update(chain[:c])
-    for x in members:
-        for lo in poset.lower_covers[x]:
-            if lo not in members:
-                raise NotAnIdeal(f"{format_vector(v)} does not encode an ideal")
-    return members
 
 
 def all_ideals(poset: Poset, cp: ChainPartition, bound: int = IDEAL_ENUM_BOUND):
@@ -292,94 +292,87 @@ def all_ideals(poset: Poset, cp: ChainPartition, bound: int = IDEAL_ENUM_BOUND):
 # explicit lattices
 
 
-@dataclass(frozen=True)
-class ExplicitLattice:
-    """Finite distributive lattice given by its full order relation.
+class ExplicitLattice(Poset):
+    """Finite distributive lattice, stored like any Poset as down masks.
 
-    Construction validates that every pair has a unique meet and join and
-    that the lattice is distributive.
+    Build one with `explicit_lattice`, which checks that every pair has a
+    unique meet and join and that the lattice is distributive. In a lattice
+    the down mask of meet(a, b) is down(a) & down(b), and the up mask of
+    join(a, b) is up(a) & up(b).
     """
 
-    elements: tuple
-    relation: frozenset
-
-    def leq(self, a, b) -> bool:
-        return (a, b) in self.relation
-
-    def __len__(self):
-        return len(self.elements)
+    @cached_property
+    def _by_down(self):
+        return {m: i for i, m in enumerate(self.down)}
 
     @cached_property
-    def _down_masks(self):
-        """Per-element bitmask of the elements at or below it."""
-        idx = {x: i for i, x in enumerate(self.elements)}
-        down = [0] * len(self.elements)
-        for a, b in self.relation:
-            down[idx[b]] |= 1 << idx[a]
-        return down
+    def _by_up(self):
+        return {m: i for i, m in enumerate(self.up)}
 
     @cached_property
-    def meet_table(self):
-        return _bound_table(self, lower=True)
-
-    @cached_property
-    def join_table(self):
-        return _bound_table(self, lower=False)
+    def _irreducibles_below(self):
+        # Per element, the mask of the join-irreducibles at or below it. x
+        # is join-irreducible exactly when the elements strictly below x
+        # have a greatest one y, i.e. when down(x) without x is down(y); the
+        # bottom never qualifies, as no down mask is empty.
+        downs = set(self.down)
+        irr = sum(1 << i for i, d in enumerate(self.down) if d ^ (1 << i) in downs)
+        return tuple(d & irr for d in self.down)
 
     def meet_of(self, a, b):
-        return self.meet_table[(a, b)]
+        idx = self.index
+        return self.elements[self._by_down[self.down[idx[a]] & self.down[idx[b]]]]
 
     def join_of(self, a, b):
-        return self.join_table[(a, b)]
-
-
-def _bound_table(lat, lower):
-    # In a lattice the down-set of meet(a, b) is exactly down(a) & down(b),
-    # so unique bounds can be read off a mask -> element index.
-    n = len(lat.elements)
-    down = lat._down_masks
-    if lower:
-        masks = down
-    else:
-        masks = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if down[j] >> i & 1:
-                    masks[i] |= 1 << j
-    by_mask = {m: i for i, m in enumerate(masks)}
-    table = {}
-    for i, a in enumerate(lat.elements):
-        for j, b in enumerate(lat.elements):
-            k = by_mask.get(masks[i] & masks[j])
-            if k is None:
-                kind = "meet" if lower else "join"
-                raise NotALattice(f"no unique {kind} for ({a}, {b})")
-            table[(a, b)] = lat.elements[k]
-    return table
+        idx = self.index
+        return self.elements[self._by_up[self.up[idx[a]] & self.up[idx[b]]]]
 
 
 def explicit_lattice(elements, leq_pairs) -> ExplicitLattice:
-    """Validate a relation and build an ExplicitLattice from it."""
+    """Validate an order relation and build an ExplicitLattice from it.
+
+    `leq_pairs` lists every (a, b) with a <= b; reflexive pairs may be
+    left out.
+    """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
         raise UnknownLabel("duplicate element labels")
-    relation = frozenset(leq_pairs) | frozenset((x, x) for x in elements)
-    known = set(elements)
-    for a, b in relation:
-        if a not in known or b not in known:
-            raise UnknownLabel(f"relation mentions unknown label ({a}, {b})")
-        if a != b and (b, a) in relation:
-            raise CycleDetected(f"{a} and {b} are mutually comparable")
-    lat = ExplicitLattice(elements=elements, relation=relation)
     idx = {x: i for i, x in enumerate(elements)}
-    down = lat._down_masks
-    for a, b in relation:
-        if down[idx[a]] & ~down[idx[b]]:
-            raise NotALattice(f"relation not transitive below ({a}, {b})")
-    lat.meet_table  # forces unique-glb validation
-    lat.join_table
+    pairs = []
+    for a, b in leq_pairs:
+        if a not in idx or b not in idx:
+            raise UnknownLabel(f"relation mentions unknown label ({a}, {b})")
+        pairs.append((idx[a], idx[b]))
+    down = [1 << i for i in range(len(elements))]
+    for i, j in pairs:
+        down[j] |= 1 << i
+    for i, j in pairs:
+        if i != j and down[i] >> j & 1:
+            raise CycleDetected(
+                f"{elements[i]} and {elements[j]} are mutually comparable"
+            )
+    for i, j in pairs:
+        if down[i] & ~down[j]:
+            raise NotALattice(
+                f"relation not transitive below ({elements[i]}, {elements[j]})"
+            )
+    lat = ExplicitLattice(elements=elements, down=tuple(down))
+    _check_bounds(elements, lat.down, "meet")
+    _check_bounds(elements, lat.up, "join")
     _check_distributive(lat)
     return lat
+
+
+def _check_bounds(elements, masks, kind):
+    # a pair has a unique meet exactly when its common lower bounds are the
+    # down mask of one element; joins likewise with up masks
+    known = set(masks)
+    for i, m in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if m & masks[j] not in known:
+                raise NotALattice(
+                    f"no unique {kind} for ({elements[i]}, {elements[j]})"
+                )
 
 
 def lattice_from_vectors(vectors) -> ExplicitLattice:
@@ -391,30 +384,15 @@ def lattice_from_vectors(vectors) -> ExplicitLattice:
     return explicit_lattice(vectors, pairs)
 
 
-def _irreducible_mask(down):
-    """Bitmask of the join-irreducible elements, given every down mask.
-
-    x has exactly one lower cover y precisely when the elements strictly
-    below x have a greatest one, i.e. when down(x) without x is down(y).
-    The bottom never qualifies: no element's down mask is empty.
-    """
-    downs = set(down)
-    mask = 0
-    for i, d in enumerate(down):
-        if d ^ (1 << i) in downs:
-            mask |= 1 << i
-    return mask
-
-
 def _check_distributive(lat):
     # Birkhoff: a finite lattice is distributive exactly when x -> J(x), the
     # join-irreducibles at or below x, turns every join into a union.
-    down = lat._down_masks
-    irr = _irreducible_mask(down)
-    below = {x: down[i] & irr for i, x in enumerate(lat.elements)}
-    for a in lat.elements:
-        for b in lat.elements:
-            if below[lat.join_of(a, b)] != below[a] | below[b]:
+    below = lat._irreducibles_below
+    up, by_up = lat.up, lat._by_up
+    for i, a in enumerate(lat.elements):
+        for j in range(i + 1, len(up)):
+            if below[by_up[up[i] & up[j]]] != below[i] | below[j]:
+                b = lat.elements[j]
                 raise NotDistributive(
                     f"join-irreducibles below {a} v {b} are not those below "
                     f"{a} or {b}"
@@ -423,24 +401,12 @@ def _check_distributive(lat):
 
 def join_irreducibles(lat: ExplicitLattice) -> Poset:
     """Sub-poset of elements with exactly one lower cover in the lattice."""
-    down = lat._down_masks
-    irr = _irreducible_mask(down)
-    members = [i for i in range(len(down)) if irr >> i & 1]
-    covers = []
-    for y in members:
-        below = (down[y] & irr) ^ (1 << y)
-        # an irreducible below y is a lower cover of y in the sub-poset
-        # unless another irreducible below y lies above it
-        shadowed = 0
-        for x in members:
-            if below >> x & 1:
-                shadowed |= down[x] ^ (1 << x)
-        covers += [
-            (lat.elements[x], lat.elements[y])
-            for x in members
-            if (below & ~shadowed) >> x & 1
-        ]
-    return poset_from_covers([lat.elements[i] for i in members], covers)
+    below = lat._irreducibles_below
+    members = [i for i, b in enumerate(below) if b >> i & 1]
+    # each member's down mask, restricted to the members and renumbered
+    pos = {i: k for k, i in enumerate(members)}
+    down = tuple(sum(1 << pos[j] for j in _bits(below[i])) for i in members)
+    return Poset(elements=tuple(lat.elements[i] for i in members), down=down)
 
 
 def birkhoff_round_trip(lat: ExplicitLattice):
@@ -451,14 +417,14 @@ def birkhoff_round_trip(lat: ExplicitLattice):
     """
     jp = join_irreducibles(lat)
     cp = chain_partition(jp)
-    mapping = {
-        x: frozenset(j for j in jp.elements if lat.leq(j, x)) for x in lat.elements
-    }
+    below = lat._irreducibles_below
+    els = lat.elements
+    mapping = {x: frozenset(els[j] for j in _bits(below[i])) for i, x in enumerate(els)}
     images = sorted(ideal_to_vector(jp, cp, s) for s in mapping.values())
     if images != all_ideals(jp, cp, bound=max(IDEAL_ENUM_BOUND, len(jp.elements))):
         raise NotALattice("element-to-ideal map is not a bijection onto the ideals")
-    for a in lat.elements:
-        for b in lat.elements:
-            if lat.leq(a, b) != (mapping[a] <= mapping[b]):
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            if bool(lat.down[j] >> i & 1) != (below[i] & ~below[j] == 0):
                 raise NotALattice(f"order not preserved between {a} and {b}")
     return jp, mapping

@@ -125,21 +125,6 @@ def assignment_to_matching(inst, assignment):
     return [(i, woman_of(inst, assignment, i)) for i in range(inst.n)]
 
 
-def matching_to_assignment(inst, pairs):
-    """Sorted (man, woman) pairs back to a rank vector."""
-    pairs = list(pairs)
-    if len(pairs) != inst.n:
-        raise SizeMismatch(f"expected {inst.n} pairs, got {len(pairs)}")
-    ranks = [-1] * inst.n
-    for m, w in pairs:
-        if not (0 <= m < inst.n and 0 <= w < inst.n):
-            raise IndexOutOfRange(f"pair ({m}, {w}) outside 0..{inst.n - 1}")
-        if ranks[m] != -1:
-            raise SizeMismatch(f"man {m} appears twice")
-        ranks[m] = inst.men_rank[m][w]
-    return tuple(ranks)
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     is_matching: bool
@@ -284,17 +269,6 @@ def regret_le(i, j):
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"indices ({i}, {j}) outside 0..{n - 1}")
         return assignment[i] <= assignment[j]
-
-    return pred
-
-
-def regret_at_most(i, c):
-    """Predicate: man i gets one of his top c+1 choices."""
-
-    def pred(assignment):
-        if not 0 <= i < len(assignment):
-            raise IndexOutOfRange(f"index {i} outside 0..{len(assignment) - 1}")
-        return assignment[i] <= c
 
     return pred
 

@@ -1,0 +1,53 @@
+"""Bipartite matching: the stack-based search against the recursive one."""
+
+import random
+
+from latmed.bipartite import max_matching
+
+
+def recursive_max_matching(n_left, n_right, adj):
+    # oracle: Kuhn's algorithm in its textbook recursive form
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+
+    def try_augment(u, seen):
+        for v in adj[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if match_r[v] == -1 or try_augment(match_r[v], seen):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        return False
+
+    for u in range(n_left):
+        try_augment(u, set())
+    return match_l, match_r
+
+
+def test_matches_recursive_kuhn_on_random_graphs():
+    rng = random.Random(17)
+    unmatched = 0
+    for _ in range(1500):
+        n_left, n_right = rng.randint(0, 20), rng.randint(0, 20)
+        density = rng.random()
+        adj = [
+            [v for v in rng.sample(range(n_right), n_right) if rng.random() < density]
+            for _ in range(n_left)
+        ]
+        got = max_matching(n_left, n_right, adj)
+        assert got == recursive_max_matching(n_left, n_right, adj)
+        unmatched += -1 in got[0]
+    assert unmatched > 100  # deficient graphs are exercised too
+
+
+def test_long_augmenting_path_does_not_recurse():
+    # the path R0-L0-R1-L1-...-R(n-1), plus L(n-1)-R0: every left vertex but
+    # the last takes its own right vertex, then matching L(n-1) needs the
+    # augmenting path through all 2n vertices
+    n = 3000
+    adj = [[u, u + 1] for u in range(n - 1)] + [[0]]
+    match_l, match_r = max_matching(n, n, adj)
+    assert match_l == list(range(1, n)) + [0]
+    assert match_r == [n - 1] + list(range(n - 1))

@@ -66,6 +66,22 @@ def test_market_commands(capsys):
     assert report.exit_code == 1 and out.strip() == "not-clearing"
 
 
+def test_market_with_long_augmenting_paths(capsys, tmp_path):
+    # buyer i is indifferent between items i-1 and i, so matching buyer i
+    # first walks back through every earlier buyer
+    n = 1200
+    rows = [[1] + [0] * (n - 1)]
+    rows += [[0] * (i - 1) + [1, 1] + [0] * (n - i - 1) for i in range(1, n)]
+    market = tmp_path / "chain.txt"
+    market.write_text(f"market {n} 1\n" + "".join(
+        f"buyer {i}: " + " ".join(map(str, row)) + "\n" for i, row in enumerate(rows)))
+    zeros = "(" + ",".join(["0"] * n) + ")"
+    report, out = run(capsys, "market", "clear", str(market))
+    assert report.exit_code == 0 and out.startswith(f"prices: {zeros}\n")
+    report, out = run(capsys, "market", "verify", str(market), "--prices", zeros)
+    assert report.exit_code == 0 and out == "clearing\n"
+
+
 def test_market_median_roundtrip(capsys, tmp_path):
     pfile = tmp_path / "prices.txt"
     pfile.write_text("(1,0)\n(2,1)\n(2,0)\n")
@@ -111,6 +127,18 @@ def test_usage_error_exit_code(capsys):
     report = dispatch(["bogus"])
     capsys.readouterr()
     assert report.exit_code == 2
+
+
+def test_flags_only_where_read(capsys):
+    # --seed and --trials belong to repro verify, --max-n to the
+    # enumerations and repro verify; anywhere else they are usage errors
+    for argv in (["smp", "solve", SMP3, "--trials", "3"],
+                 ["market", "clear", MARKET2, "--seed", "1"],
+                 ["smp", "verify", SMP3, "--matching", "(0,0,0)", "--max-n", "3"],
+                 ["repro", "paper-example", "--seed", "7"]):
+        report = dispatch(argv)
+        capsys.readouterr()
+        assert report.exit_code == 2, argv
 
 
 def test_json_envelope(capsys):

@@ -107,16 +107,6 @@ def test_check_regular_reports_first_violation():
     assert report.counterexample == ((1, 0), (0, 1), "join")
 
 
-def test_check_regular_with_callback():
-    # satisfying set is all vectors with first coordinate <= 1; closed
-    elems = [(0, 0), (1, 2), (0, 2)]
-    report = check_regular(elems, satisfies=lambda v: v[0] <= 1)
-    assert report.regular
-    # predicate that the listed elements satisfy but their meets leak out of
-    report = check_regular([(2, 1), (1, 2)], satisfies=lambda v: sum(v) == 3)
-    assert not report.regular
-
-
 def test_theorem_check_exhaustive_counts():
     cube = list(product((0, 1), repeat=2))
     report = check_median_theorem(cube, k_max=3)

@@ -17,7 +17,6 @@ from latmed.errors import (
 )
 from latmed.market_clearing import (
     clearing_matching,
-    demand_graph,
     enumerate_clearing_vectors,
     is_market_clearing,
     market_instance,
@@ -65,21 +64,26 @@ def test_parse_rejects_malformed():
 
 def test_demand_graph_argmax_semantics():
     inst = market_instance([[3, 1], [2, 2]])
-    dg = demand_graph(inst, (0, 0))
-    assert dg.demanded == ((0,), (0, 1))  # ties kept
+    # buyer 1 is indifferent at (0, 0); only with the tie kept can it take
+    # item 1 while buyer 0 takes item 0
+    assert is_market_clearing(inst, (0, 0))
+    assert clearing_matching(inst, (0, 0)) == (0, 1)
     # payoffs may go negative; the argmax is still demanded
-    dg = demand_graph(inst, (3, 3))
-    assert dg.demanded == ((0,), (0, 1))
+    assert is_market_clearing(inst, (3, 3))
+    assert clearing_matching(inst, (3, 3)) == (0, 1)
+    # only the argmax is demanded: both buyers want item 0 alone
+    assert not is_market_clearing(inst, (0, 1))
 
 
 def test_demand_graph_validates_prices():
     inst = market_instance([[3, 1], [2, 2]])
-    with pytest.raises(ShapeMismatch):
-        demand_graph(inst, (0,))
-    with pytest.raises(OutOfBounds):
-        demand_graph(inst, (-1, 0))
-    with pytest.raises(OutOfBounds):
-        demand_graph(inst, (4, 0))  # above the cap
+    for check in (is_market_clearing, clearing_matching):
+        with pytest.raises(ShapeMismatch):
+            check(inst, (0,))
+        with pytest.raises(OutOfBounds):
+            check(inst, (-1, 0))
+        with pytest.raises(OutOfBounds):
+            check(inst, (4, 0))  # above the cap
 
 
 def test_clearing_by_hand():
