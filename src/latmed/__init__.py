@@ -33,7 +33,6 @@ from .order_core import (
     meet,
     parse_vector,
     poset_from_covers,
-    vec_leq,
 )
 from .verify import VerifyConfig, verify_suite
 
@@ -60,7 +59,6 @@ __all__ = [
     "medians_via_meet_join",
     "parse_vector",
     "poset_from_covers",
-    "vec_leq",
     "verify_suite",
 ]
 

@@ -129,6 +129,8 @@ def _read_market(path):
 def cmd_market_clear(ns):
     inst = _read_market(ns.file)
     prices = mc.min_clearing_prices(inst)
+    # the auction's own matching depends on the rounds it took; a cold
+    # matching on the final demand sets is the one the report prints
     assignment = mc.clearing_matching(inst, prices)
     lines = [
         f"prices: {format_vector(prices)}",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import sub
 
 from . import bipartite
 from .errors import (
@@ -28,6 +29,7 @@ from .lattice_median import generalized_medians
 
 ENUM_N_BOUND = 4
 ENUM_CAP_BOUND = 6
+_NO_PAYOFF = float("-inf")  # below every payoff
 
 
 @dataclass(frozen=True)
@@ -102,12 +104,26 @@ def _check_prices(inst, prices, enforce_cap=True):
     return p
 
 
+def _row_demand(row, prices):
+    """One buyer's payoffs at these prices, the best payoff, and the items
+    that reach it, in ascending order."""
+    pay = list(map(sub, row, prices))
+    best = max(pay)
+    if pay.count(best) == 1:
+        return pay, best, [pay.index(best)]
+    return pay, best, [j for j, x in enumerate(pay) if x == best]
+
+
+def _rescan(row, prices):
+    """One buyer's best payoff, demand list, and best payoff outside it."""
+    pay, best, items = _row_demand(row, prices)
+    for j in items:
+        pay[j] = _NO_PAYOFF
+    return best, items, max(pay)
+
+
 def _demands(inst, prices):
-    demands = []
-    for row in inst.valuations:
-        best = max(v - p for v, p in zip(row, prices))
-        demands.append(tuple(j for j, (v, p) in enumerate(zip(row, prices)) if v - p == best))
-    return demands
+    return [_row_demand(row, prices)[2] for row in inst.valuations]
 
 
 def is_market_clearing(inst, prices):
@@ -129,26 +145,57 @@ def clearing_matching(inst, prices):
 def min_clearing_prices(inst):
     """Componentwise minimum clearing price vector, by ascending auction.
 
-    While some buyer is unmatched, take the set of buyers reachable from
-    unmatched buyers by alternating paths in the demand graph; their
-    demanded items are overdemanded, and each such price rises by one.
-    The running vector never exceeds any clearing vector in any
-    coordinate, so the result is the minimum; a final shift-down step
-    guards the all-positive case but never fires for the minimum.
+    While some buyer is unmatched, take the set R of items reachable from
+    unmatched buyers by alternating paths in the demand graph; R is
+    overdemanded, and each price in R rises by one. The running vector
+    never exceeds any clearing vector in any coordinate, so the result is
+    the minimum; a final shift-down step guards the all-positive case but
+    never fires for the minimum.
+
+    Rounds are incremental. Each buyer keeps its best payoff, its demand
+    list and an upper bound on its payoffs outside the list. After a raise,
+    a buyer whose list has items outside R drops the items in R; a buyer
+    whose whole list lies in R loses 1 from its best payoff, and rescans
+    its row only when the bound outside its list could reach the new best.
+    The matching is carried over and extended, since a matched edge stays
+    demanded: a buyer matched outside R keeps an item whose price did not
+    rise, and a buyer matched into R is itself reachable, so its whole list
+    rose together. R does not depend on which maximum matching the
+    auction holds (it is the neighbourhood of the buyers that some maximum
+    matching leaves unmatched, by Gallai-Edmonds), so the rounds and
+    prices are those of rebuilding demands and matching from scratch.
     """
     n = inst.n
     p = [0] * n
+    best, demands, outside = [], [], []
+    for row in inst.valuations:
+        b, items, o = _rescan(row, p)
+        best.append(b)
+        demands.append(items)
+        outside.append(o)
     # each round raises at least one price and no price passes the minimum
     # clearing vector, which is capped by the largest valuation
     max_rounds = n * (inst.price_cap + max(max(r) for r in inst.valuations) + 2) + 8
+    matching = None
     for _ in range(max_rounds):
-        demands = _demands(inst, p)
-        match_l, match_r = bipartite.max_matching(n, n, demands)
+        matching = bipartite.max_matching(n, n, demands, matching)
+        match_l, match_r = matching
         if -1 not in match_l:
             break
-        _, seen_r = bipartite.alternating_reachable(n, demands, match_l, match_r)
-        for j in seen_r:
+        _, raised = bipartite.alternating_reachable(n, demands, match_l, match_r)
+        for j in raised:
             p[j] += 1
+        for u, items in enumerate(demands):
+            if raised.isdisjoint(items):
+                continue
+            kept = [j for j in items if j not in raised]
+            if kept:
+                demands[u] = kept
+                outside[u] = best[u] - 1
+            elif outside[u] < best[u] - 1:
+                best[u] -= 1
+            else:
+                best[u], demands[u], outside[u] = _rescan(inst.valuations[u], p)
     else:
         raise AssertionError(f"auction failed to terminate on {inst}")
     if min(p) > 0:

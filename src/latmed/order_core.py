@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import le
 
 from . import bipartite
 from .errors import (
@@ -44,12 +45,6 @@ def join(u, v):
     """Componentwise maximum (set union of the encoded ideals)."""
     _check_shape(u, v)
     return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def vec_leq(u, v):
-    """Componentwise order: u <= v in the lattice of count vectors."""
-    _check_shape(u, v)
-    return all(a <= b for a, b in zip(u, v))
 
 
 def _check_shape(u, v):
@@ -378,9 +373,9 @@ def _check_bounds(elements, masks, kind):
 def lattice_from_vectors(vectors) -> ExplicitLattice:
     """ExplicitLattice over count vectors under the componentwise order."""
     vectors = [tuple(v) for v in vectors]
-    pairs = [
-        (u, v) for u, v in product(vectors, repeat=2) if vec_leq(u, v)
-    ]
+    for v in vectors[1:]:
+        _check_shape(vectors[0], v)
+    pairs = [(u, v) for u, v in product(vectors, repeat=2) if all(map(le, u, v))]
     return explicit_lattice(vectors, pairs)
 
 

@@ -51,3 +51,29 @@ def test_long_augmenting_path_does_not_recurse():
     match_l, match_r = max_matching(n, n, adj)
     assert match_l == list(range(1, n)) + [0]
     assert match_r == [n - 1] + list(range(n - 1))
+
+
+def test_extending_a_partial_matching_reaches_maximum_size():
+    rng = random.Random(19)
+    extended = 0
+    for _ in range(1500):
+        n_left, n_right = rng.randint(0, 15), rng.randint(0, 15)
+        density = rng.random()
+        adj = [[v for v in range(n_right) if rng.random() < density] for _ in range(n_left)]
+        size = n_left - max_matching(n_left, n_right, adj)[0].count(-1)
+        # a random greedy matching on the graph's own edges
+        match_l, match_r = [-1] * n_left, [-1] * n_right
+        for u in rng.sample(range(n_left), n_left):
+            free = [v for v in adj[u] if match_r[v] == -1]
+            if free and rng.random() < 0.7:
+                v = rng.choice(free)
+                match_l[u], match_r[v] = v, u
+        start = (list(match_l), list(match_r))
+        got_l, got_r = max_matching(n_left, n_right, adj, start)
+        assert start == (match_l, match_r)  # the start is not modified
+        assert n_left - got_l.count(-1) == size
+        assert all(v == -1 or (v in adj[u] and got_r[v] == u) for u, v in enumerate(got_l))
+        assert all(u == -1 or got_l[u] == v for v, u in enumerate(got_r))
+        assert all(got_l[u] != -1 for u in range(n_left) if match_l[u] != -1)
+        extended += n_left - match_l.count(-1) < size
+    assert extended > 300  # most starts needed augmenting

@@ -10,6 +10,7 @@ from latmed.cli import dispatch, main
 FIXTURES = Path(__file__).parent / "fixtures"
 SMP3 = str(FIXTURES / "smp3.txt")
 MARKET2 = str(FIXTURES / "market2.txt")
+MARKET60 = str(FIXTURES / "market60.txt")
 
 
 def run(capsys, *argv):
@@ -64,6 +65,14 @@ def test_market_commands(capsys):
     assert report.exit_code == 0 and out.strip() == "clearing"
     report, out = run(capsys, "market", "verify", MARKET2, "--prices", "(0,0)")
     assert report.exit_code == 1 and out.strip() == "not-clearing"
+
+
+def test_market_clear_golden_bytes(capsys):
+    # market60.txt: random_market_instance(random.Random(60), 60, 179); the
+    # expected stdout was recorded from the auction that rebuilt every
+    # demand set and matching per round
+    _, out = run(capsys, "market", "clear", MARKET60, "--json")
+    assert out == (FIXTURES / "market60.clear.json").read_text()
 
 
 def test_market_with_long_augmenting_paths(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latmed import bipartite
 from latmed.errors import (
     JOutOfRange,
     MalformedFile,
@@ -16,6 +17,8 @@ from latmed.errors import (
     TooLarge,
 )
 from latmed.market_clearing import (
+    _check_prices,
+    _demands,
     clearing_matching,
     enumerate_clearing_vectors,
     is_market_clearing,
@@ -192,3 +195,97 @@ def test_auction_result_always_clears(seed):
     prices = min_clearing_prices(inst)
     assert is_market_clearing(inst, prices)
     assert min(prices) == 0  # someone pays list-bottom in the minimum vector
+
+
+def argmax_demands(inst, prices):
+    demands = []
+    for row in inst.valuations:
+        best = max(v - p for v, p in zip(row, prices))
+        demands.append([j for j, (v, p) in enumerate(zip(row, prices)) if v - p == best])
+    return demands
+
+
+def rebuilding_auction(inst):
+    # oracle: the ascending auction that rebuilds every demand set and runs
+    # a cold matching each round; returns the prices and each round's demands
+    n = inst.n
+    p = [0] * n
+    rounds = []
+    max_rounds = n * (inst.price_cap + max(max(r) for r in inst.valuations) + 2) + 8
+    for _ in range(max_rounds):
+        demands = argmax_demands(inst, p)
+        assert _demands(inst, p) == demands
+        rounds.append(demands)
+        match_l, match_r = bipartite.max_matching(n, n, demands)
+        if -1 not in match_l:
+            break
+        _, seen_r = bipartite.alternating_reachable(n, demands, match_l, match_r)
+        for j in seen_r:
+            p[j] += 1
+    else:
+        raise AssertionError(f"auction failed to terminate on {inst}")
+    if min(p) > 0:
+        shift = min(p)
+        p = [x - shift for x in p]
+    result = _check_prices(inst, p, enforce_cap=False)
+    if max(result) > inst.price_cap:
+        raise OutOfBounds(f"{result} exceeds cap {inst.price_cap}")
+    return result, rounds
+
+
+def auction_rounds(monkeypatch, inst):
+    # the incremental auction's prices and the demand lists it hands the
+    # matcher, one entry per round
+    seen = []
+    cold = bipartite.max_matching
+
+    def recording(n_left, n_right, adj, start=None):
+        seen.append([list(row) for row in adj])
+        return cold(n_left, n_right, adj, start)
+
+    monkeypatch.setattr(bipartite, "max_matching", recording)
+    try:
+        return min_clearing_prices(inst), seen
+    finally:
+        monkeypatch.undo()
+
+
+def test_incremental_auction_matches_rebuilding_oracle(monkeypatch):
+    rng = random.Random(53)
+    multi_round = 0
+    for _ in range(3000):
+        inst = random_market_instance(rng, rng.randint(1, 7), 9)
+        want, want_rounds = rebuilding_auction(inst)
+        got, got_rounds = auction_rounds(monkeypatch, inst)
+        assert got == want, serialize_market(inst)
+        assert got_rounds == want_rounds, serialize_market(inst)
+        multi_round += len(want_rounds) > 2
+    assert multi_round > 1000
+
+
+def test_incremental_auction_matches_oracle_on_large_markets(monkeypatch):
+    rng = random.Random(59)
+    for n in (50, 75, 100, 125, 150):
+        for top in (n, 3 * n, 10 * n):
+            inst = random_market_instance(rng, n, top - 1)
+            want, want_rounds = rebuilding_auction(inst)
+            got, got_rounds = auction_rounds(monkeypatch, inst)
+            assert got == want
+            assert got_rounds == want_rounds
+
+
+def test_cap_below_auction_minimum_is_refused_like_the_oracle():
+    rng = random.Random(61)
+    refused = 0
+    for _ in range(300):
+        inst = random_market_instance(rng, rng.randint(2, 7), 9)
+        low = min_clearing_prices(inst)
+        if max(low) == 0:
+            continue
+        capped = market_instance(inst.valuations, price_cap=max(low) - 1)
+        with pytest.raises(OutOfBounds):
+            rebuilding_auction(capped)
+        with pytest.raises(OutOfBounds):
+            min_clearing_prices(capped)
+        refused += 1
+    assert refused > 100

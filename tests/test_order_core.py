@@ -30,7 +30,6 @@ from latmed.order_core import (
     meet,
     parse_vector,
     poset_from_covers,
-    vec_leq,
 )
 
 
@@ -152,9 +151,10 @@ PENTAGON = (  # N5: bot < a < top, bot < b < c < top
 def test_vector_ops_basics():
     assert meet((1, 0), (0, 1)) == (0, 0)
     assert join((1, 0), (0, 2)) == (1, 2)
-    assert vec_leq((0, 1), (1, 1)) and not vec_leq((1, 1), (0, 1))
     with pytest.raises(ShapeMismatch):
         meet((1, 0), (1, 0, 0))
+    with pytest.raises(ShapeMismatch):
+        lattice_from_vectors([(0, 0), (1, 0), (1,)])
 
 
 @given(st.lists(st.integers(0, 30), min_size=0, max_size=6))
