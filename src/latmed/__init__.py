@@ -26,7 +26,6 @@ from .order_core import (
     chain_partition,
     explicit_lattice,
     format_vector,
-    ideal_to_vector,
     join,
     join_irreducibles,
     lattice_from_vectors,
@@ -51,7 +50,6 @@ __all__ = [
     "explicit_lattice",
     "format_vector",
     "generalized_medians",
-    "ideal_to_vector",
     "join",
     "join_irreducibles",
     "lattice_from_vectors",

@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import market_clearing as mc
@@ -199,6 +200,7 @@ def cmd_repro_verify(ns):
 
 # --- wiring ------------------------------------------------------------
 
+@cache
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", default=False,

@@ -27,11 +27,7 @@ class NotDistributive(LatmedError):
     pass
 
 
-# --- ideal encoding ---
-
-class NotAnIdeal(LatmedError):
-    pass
-
+# --- count vectors and bounds ---
 
 class OutOfBounds(LatmedError):
     pass

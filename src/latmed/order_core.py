@@ -20,7 +20,6 @@ from . import bipartite
 from .errors import (
     CycleDetected,
     NotALattice,
-    NotAnIdeal,
     NotDistributive,
     OutOfBounds,
     ShapeMismatch,
@@ -102,9 +101,6 @@ class Poset:
         idx = self.index
         return bool(self.down[idx[b]] >> idx[a] & 1)
 
-    def __len__(self):
-        return len(self.elements)
-
     @cached_property
     def index(self):
         return {x: i for i, x in enumerate(self.elements)}
@@ -117,33 +113,6 @@ class Poset:
             for j in _bits(d):
                 up[j] |= 1 << i
         return tuple(up)
-
-    @cached_property
-    def lower_covers(self):
-        # y < x is covered by x unless y lies below another element below x
-        els, down = self.elements, self.down
-        lc = {}
-        for i, d in enumerate(down):
-            strict = d ^ (1 << i)
-            shadowed = 0
-            for j in _bits(strict):
-                shadowed |= down[j] ^ (1 << j)
-            lc[els[i]] = tuple(els[j] for j in _bits(strict & ~shadowed))
-        return lc
-
-    @cached_property
-    def covers(self):
-        """The Hasse diagram as (lower, upper) pairs, in label order."""
-        idx = self.index
-        pairs = [(lo, hi) for hi, los in self.lower_covers.items() for lo in los]
-        return tuple(sorted(pairs, key=lambda p: (idx[p[0]], idx[p[1]])))
-
-    @cached_property
-    def linear_extension(self):
-        """Elements ordered so that smaller elements come first."""
-        down = self.down
-        order = sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i))
-        return tuple(self.elements[i] for i in order)
 
 
 def poset_from_covers(elements, covers) -> Poset:
@@ -195,12 +164,6 @@ class ChainPartition:
 
     chains: tuple
 
-    @cached_property
-    def chain_of(self):
-        return {
-            x: (i, d) for i, chain in enumerate(self.chains) for d, x in enumerate(chain)
-        }
-
 
 def chain_partition(poset: Poset) -> ChainPartition:
     """Minimum chain partition via maximum matching on strict comparability.
@@ -229,58 +192,36 @@ def chain_partition(poset: Poset) -> ChainPartition:
 
 
 # ---------------------------------------------------------------------------
-# ideals <-> vectors
+# order ideals
 
 
-def ideal_to_vector(poset: Poset, cp: ChainPartition, ideal):
-    """Encode a downward-closed element set as per-chain prefix counts."""
-    members = set(ideal)
-    for x in members:
-        if x not in poset.index:
-            raise UnknownLabel(f"ideal mentions unknown label {x}")
-    for x in members:
-        for lo in poset.lower_covers[x]:
-            if lo not in members:
-                raise NotAnIdeal(f"{x} present without lower cover {lo}")
-    counts = [0] * len(cp.chains)
-    for x in members:
-        counts[cp.chain_of[x][0]] += 1
-    return tuple(counts)
+def _ideal_masks(down):
+    """Every down-set of the order given by `down` masks, as a mask.
+
+    Elements are added along a linear extension, each to every down-set
+    found so far that holds all the elements strictly below it; a
+    down-set arises once, when its last element in that order is added.
+    """
+    ideals = [0]
+    for i in sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i)):
+        strict = down[i] ^ (1 << i)
+        ideals += [m | 1 << i for m in ideals if m & strict == strict]
+    return ideals
 
 
 def all_ideals(poset: Poset, cp: ChainPartition, bound: int = IDEAL_ENUM_BOUND):
     """All order ideals as count vectors, ascending lexicographically.
 
-    Elements are scanned along a linear extension; an element may be
-    included only once all of its lower covers are in, which yields every
-    downward-closed set exactly once.
+    A count vector holds, per chain of `cp`, how many of the ideal's
+    members lie on that chain.
     """
     if len(poset.elements) > bound:
         raise TooLarge(f"{len(poset.elements)} elements exceeds bound {bound}")
-    order = poset.linear_extension
-    lower = poset.lower_covers
-    chain_of = cp.chain_of
-    k = len(cp.chains)
-    out = []
-    included = set()
-    counts = [0] * k
-
-    def rec(i):
-        if i == len(order):
-            out.append(tuple(counts))
-            return
-        x = order[i]
-        rec(i + 1)
-        if all(lo in included for lo in lower[x]):
-            included.add(x)
-            counts[chain_of[x][0]] += 1
-            rec(i + 1)
-            counts[chain_of[x][0]] -= 1
-            included.remove(x)
-
-    rec(0)
-    out.sort()
-    return out
+    idx = poset.index
+    chains = [sum(1 << idx[x] for x in chain) for chain in cp.chains]
+    return sorted(
+        tuple((m & c).bit_count() for c in chains) for m in _ideal_masks(poset.down)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +254,16 @@ class ExplicitLattice(Poset):
         downs = set(self.down)
         irr = sum(1 << i for i, d in enumerate(self.down) if d ^ (1 << i) in downs)
         return tuple(d & irr for d in self.down)
+
+    @cached_property
+    def _irreducible_images(self):
+        # The join-irreducibles' indices, ascending, and per element the
+        # mask of the irreducibles at or below it with bit k standing for
+        # the k-th irreducible: its Birkhoff image, an ideal of J(L).
+        below = self._irreducibles_below
+        members = [i for i, b in enumerate(below) if b >> i & 1]
+        pos = {i: k for k, i in enumerate(members)}
+        return members, tuple(sum(1 << pos[j] for j in _bits(b)) for b in below)
 
     def meet_of(self, a, b):
         idx = self.index
@@ -396,12 +347,11 @@ def _check_distributive(lat):
 
 def join_irreducibles(lat: ExplicitLattice) -> Poset:
     """Sub-poset of elements with exactly one lower cover in the lattice."""
-    below = lat._irreducibles_below
-    members = [i for i, b in enumerate(below) if b >> i & 1]
-    # each member's down mask, restricted to the members and renumbered
-    pos = {i: k for k, i in enumerate(members)}
-    down = tuple(sum(1 << pos[j] for j in _bits(below[i])) for i in members)
-    return Poset(elements=tuple(lat.elements[i] for i in members), down=down)
+    members, images = lat._irreducible_images
+    return Poset(
+        elements=tuple(lat.elements[i] for i in members),
+        down=tuple(images[i] for i in members),
+    )
 
 
 def birkhoff_round_trip(lat: ExplicitLattice):
@@ -411,15 +361,13 @@ def birkhoff_round_trip(lat: ExplicitLattice):
     join-irreducible sub-poset and returns (sub-poset, mapping).
     """
     jp = join_irreducibles(lat)
-    cp = chain_partition(jp)
+    if sorted(lat._irreducible_images[1]) != sorted(_ideal_masks(jp.down)):
+        raise NotALattice("element-to-ideal map is not a bijection onto the ideals")
     below = lat._irreducibles_below
     els = lat.elements
-    mapping = {x: frozenset(els[j] for j in _bits(below[i])) for i, x in enumerate(els)}
-    images = sorted(ideal_to_vector(jp, cp, s) for s in mapping.values())
-    if images != all_ideals(jp, cp, bound=max(IDEAL_ENUM_BOUND, len(jp.elements))):
-        raise NotALattice("element-to-ideal map is not a bijection onto the ideals")
     for i, a in enumerate(els):
         for j, b in enumerate(els):
             if bool(lat.down[j] >> i & 1) != (below[i] & ~below[j] == 0):
                 raise NotALattice(f"order not preserved between {a} and {b}")
+    mapping = {x: frozenset(els[j] for j in _bits(below[i])) for i, x in enumerate(els)}
     return jp, mapping

@@ -160,12 +160,11 @@ def worked_example_battery():
     return res.result()
 
 
-def smp_battery(rng, cfg):
+def smp_battery(rng, cfg, inv):
     """Median stability, meet/join closure, and proposal-side extremes."""
     stab = _Counter("smp-median-stability")
     closure = _Counter("smp-meet-join-closure")
     extremes = _Counter("smp-proposal-extremes")
-    inv = _Counter("median-invariants")
     for _ in range(cfg.smp_instances):
         n = rng.randint(cfg.smp_n_min, cfg.smp_n_max)
         inst = random_smp_instance(rng, n)
@@ -200,13 +199,12 @@ def smp_battery(rng, cfg):
                     stab.failures.append(
                         f"{tag}: median j={j} of {family} gave unstable {g}"
                     )
-    return [stab.result(), closure.result(), extremes.result()], inv
+    return [stab.result(), closure.result(), extremes.result()]
 
 
-def vector_family_battery(rng, cfg):
+def vector_family_battery(rng, cfg, inv):
     """Order-statistic medians agree with the meet/join comparator network."""
     cross = _Counter("median-cross-implementation")
-    inv = _Counter("median-invariants")
     for _ in range(cfg.median_families):
         k = rng.randint(1, cfg.family_k_max)
         dim = rng.randint(1, cfg.family_dim_max)
@@ -220,15 +218,14 @@ def vector_family_battery(rng, cfg):
         if direct != via_ops:
             cross.failures.append(f"{family}: {direct} != {via_ops}")
         _note_medians(inv, tuple(family), tuple(direct))
-    return cross.result(), inv
+    return cross.result()
 
 
-def market_battery(rng, cfg):
+def market_battery(rng, cfg, inv):
     """Clearing-set closure, auction minimality, and clearing medians."""
     closure = _Counter("market-closure")
     minimum = _Counter("market-auction-minimum")
     medians = _Counter("market-median-clearing")
-    inv = _Counter("median-invariants")
     for _ in range(cfg.market_instances):
         n = rng.randint(cfg.market_n_min, cfg.market_n_max)
         inst = random_market_instance(rng, n, cfg.market_max_valuation)
@@ -262,7 +259,7 @@ def market_battery(rng, cfg):
                     medians.failures.append(
                         f"{tag}: median j={j} of {family} gave non-clearing {p}"
                     )
-    return [closure.result(), minimum.result(), medians.result()], inv
+    return [closure.result(), minimum.result(), medians.result()]
 
 
 def block_swap_instance(blocks):
@@ -461,26 +458,14 @@ def verify_suite(cfg=None):
     if cfg.subsets_per_instance == 0:
         return []
     rng = random.Random(cfg.seed)
+    # the smp, vector-family and market batteries check their medians here
+    inv = _Counter("median-invariants")
     results = [worked_example_battery()]
-    inv_total = _Counter("median-invariants")
-
-    smp_results, inv = smp_battery(rng, cfg)
-    results.extend(smp_results)
-    _merge(inv_total, inv)
-    cross, inv = vector_family_battery(rng, cfg)
-    results.append(cross)
-    _merge(inv_total, inv)
-    market_results, inv = market_battery(rng, cfg)
-    results.extend(market_results)
-    _merge(inv_total, inv)
+    results.extend(smp_battery(rng, cfg, inv))
+    results.append(vector_family_battery(rng, cfg, inv))
+    results.extend(market_battery(rng, cfg, inv))
     results.append(constrained_battery(rng, cfg))
     results.append(regularity_gate_battery(rng, cfg.gate_trials))
     results.append(birkhoff_battery(cfg.birkhoff_max_elements))
-    results.append(inv_total.result())
+    results.append(inv.result())
     return results
-
-
-def _merge(total, part):
-    total.checked += part.checked
-    total.failures.extend(part.failures)
-    total.gated += part.gated

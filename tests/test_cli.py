@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from latmed.cli import dispatch, main
+from latmed.cli import build_parser, dispatch, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SMP3 = str(FIXTURES / "smp3.txt")
@@ -148,6 +148,22 @@ def test_flags_only_where_read(capsys):
         report = dispatch(argv)
         capsys.readouterr()
         assert report.exit_code == 2, argv
+
+
+def test_one_parser_serves_every_command(capsys):
+    # the parser is built once per process: a usage error must leave
+    # nothing behind for later commands, whose output must equal that of
+    # a fresh process
+    assert build_parser() is build_parser()
+    report = dispatch(["smp", "solve", SMP3, "--side", "sideways"])
+    capsys.readouterr()
+    assert report.exit_code == 2
+    for argv in (["smp", "solve", SMP3], ["market", "clear", MARKET2, "--json"]):
+        report, out = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "latmed.cli", *argv],
+                               capture_output=True, text=True)
+        assert report.exit_code == fresh.returncode == 0
+        assert out == fresh.stdout
 
 
 def test_json_envelope(capsys):
