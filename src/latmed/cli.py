@@ -22,14 +22,14 @@ from pathlib import Path
 from . import market_clearing as mc
 from . import stable_matching as sm
 from .errors import EmptyInput, JOutOfRange, LatmedError
-from .lattice_median import check_regular, generalized_medians, medians_via_meet_join
+from .lattice_median import check_regular, generalized_medians
 from .order_core import format_vector, parse_vector
 from .verify import (
-    WORKED_INPUTS,
-    WORKED_MEDIANS,
     RNG_ALGORITHM,
+    WORKED_INPUTS,
     VerifyConfig,
     verify_suite,
+    worked_example_battery,
 )
 
 DEFAULT_SEED = 42
@@ -167,19 +167,13 @@ def cmd_market_verify(ns):
 # --- repro -------------------------------------------------------------
 
 def cmd_repro_paper_example(ns):
-    direct = tuple(generalized_medians(WORKED_INPUTS))
-    via_ops = tuple(medians_via_meet_join(WORKED_INPUTS))
+    check = worked_example_battery()
     results = [
-        "inputs: " + " ".join(format_vector(v) for v in WORKED_INPUTS),
-        "medians: " + " ".join(format_vector(v) for v in direct),
+        "inputs: " + " ".join(map(format_vector, WORKED_INPUTS)),
+        "medians: " + " ".join(map(format_vector, generalized_medians(WORKED_INPUTS))),
+        "PASS" if check.passed else "FAIL",
     ]
-    violations = []
-    if direct != WORKED_MEDIANS:
-        violations.append(f"expected medians {WORKED_MEDIANS}")
-    if via_ops != direct:
-        violations.append("meet/join route disagrees with order statistics")
-    results.append("PASS" if not violations else "FAIL")
-    return _vectors_text(WORKED_INPUTS), results, violations
+    return _vectors_text(WORKED_INPUTS), results, list(check.failures)
 
 
 def cmd_repro_verify(ns):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import EmptyInput, NotRegular, ShapeMismatch
+from .errors import EmptyInput, JOutOfRange, NotRegular, ShapeMismatch
 from .order_core import format_vector, join, meet
 
 EXHAUSTIVE_BOUND = 12
@@ -47,23 +47,16 @@ def generalized_medians(vectors):
 def medians_via_meet_join(vectors):
     """Same family as generalized_medians, via whole-element meets and joins.
 
-    Runs an insertion-style comparator network where each comparator
-    replaces an adjacent pair (x, y) by (meet(x, y), join(x, y)); passes
-    repeat until nothing changes. A comparator acts as (min, max) in every
-    coordinate at once, so the stable state sorts all coordinates
-    simultaneously.
+    Runs the insertion sorting network once, each comparator replacing an
+    adjacent pair (x, y) by (meet(x, y), join(x, y)). A comparator acts as
+    (min, max) in every coordinate and a sorting network sorts any input,
+    so the one pass sorts every coordinate at once.
     """
     work = _validated(vectors)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(1, len(work)):
-            for i in range(t - 1, -1, -1):
-                lo = meet(work[i], work[i + 1])
-                hi = join(work[i], work[i + 1])
-                if (work[i], work[i + 1]) != (lo, hi):
-                    work[i], work[i + 1] = lo, hi
-                    changed = True
+    for t in range(1, len(work)):
+        for i in range(t - 1, -1, -1):
+            x, y = work[i], work[i + 1]
+            work[i], work[i + 1] = meet(x, y), join(x, y)
     return work
 
 
@@ -157,3 +150,22 @@ def check_median_theorem(satisfying, k_max=5, trials=100, rng_seed=42):
                 violations.append((tuple(family), j, g))
     violations.sort()
     return MedianTheoremReport(len(families), tuple(violations))
+
+
+def checked_median(family, j, is_member, refuse):
+    """j-th (1-indexed) median of a multiset of members, checked on the way out.
+
+    The first input failing `is_member` raises `refuse(input)`. The median
+    must pass `is_member` too, which the median theorem guarantees when the
+    members form a sublattice, so a failing median is an AssertionError.
+    """
+    vs = [tuple(x) for x in family]
+    for x in vs:
+        if not is_member(x):
+            raise refuse(x)
+    if not 1 <= j <= len(vs):
+        raise JOutOfRange(f"j={j} outside 1..{len(vs)}")
+    g = generalized_medians(vs)[j - 1]
+    if not is_member(g):
+        raise AssertionError(f"median j={j} of {vs} is not a member: {g}")
+    return g

@@ -17,7 +17,6 @@ from operator import sub
 
 from . import bipartite
 from .errors import (
-    JOutOfRange,
     MalformedFile,
     NotClearingInput,
     OutOfBounds,
@@ -25,7 +24,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .lattice_median import generalized_medians
+from .lattice_median import checked_median
 
 ENUM_N_BOUND = 4
 ENUM_CAP_BOUND = 6
@@ -228,18 +227,9 @@ def enumerate_clearing_vectors(inst, n_bound=ENUM_N_BOUND, cap_bound=ENUM_CAP_BO
 
 
 def median_clearing(inst, price_vectors, j):
-    """j-th (1-indexed) generalized median of clearing price vectors.
-
-    Inputs are validated to clear the market and the result is checked to
-    clear it too before being returned.
-    """
+    """j-th (1-indexed) median of clearing price vectors, checked to clear."""
     ps = [_check_prices(inst, p) for p in price_vectors]
-    for p in ps:
-        if not is_market_clearing(inst, p):
-            raise NotClearingInput(f"{p} does not clear the market")
-    if not 1 <= j <= len(ps):
-        raise JOutOfRange(f"j={j} outside 1..{len(ps)}")
-    med = generalized_medians(ps)[j - 1]
-    if not is_market_clearing(inst, med):
-        raise AssertionError(f"median {med} of clearing vectors does not clear")
-    return med
+    return checked_median(
+        ps, j, lambda p: is_market_clearing(inst, p),
+        lambda p: NotClearingInput(f"{p} does not clear the market"),
+    )

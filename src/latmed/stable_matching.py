@@ -15,7 +15,6 @@ from functools import cached_property
 from . import bipartite
 from .errors import (
     IndexOutOfRange,
-    JOutOfRange,
     MalformedFile,
     NotAPermutation,
     NotStableInput,
@@ -23,7 +22,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .lattice_median import generalized_medians
+from .lattice_median import checked_median
 
 ENUM_BOUND = 8
 
@@ -240,25 +239,11 @@ def all_stable_matchings(inst, bound=ENUM_BOUND):
 
 
 def median_stable(inst, matchings, j):
-    """j-th (1-indexed) generalized median of stable rank vectors.
-
-    Inputs are validated for stability, and the result is checked to be
-    stable before being returned. Repeated vectors are legitimate: the
-    median is taken over a multiset.
-    """
-    ms = [tuple(g) for g in matchings]
-    for g in ms:
-        if not stability_report(inst, g).stable:
-            raise NotStableInput(f"{g} is not a stable matching")
-    if not 1 <= j <= len(ms):
-        raise JOutOfRange(f"j={j} outside 1..{len(ms)}")
-    g = generalized_medians(ms)[j - 1]
-    report = stability_report(inst, g)
-    if not report.stable:
-        raise AssertionError(
-            f"median {g} of stable matchings is unstable, blocking={report.blocking}"
-        )
-    return g
+    """j-th (1-indexed) median of stable rank vectors, checked to be stable."""
+    return checked_median(
+        matchings, j, lambda g: stability_report(inst, g).stable,
+        lambda g: NotStableInput(f"{g} is not a stable matching"),
+    )
 
 
 def regret_le(i, j):
@@ -289,8 +274,3 @@ def conjoin(*predicates):
         return all(p(assignment) for p in predicates)
 
     return pred
-
-
-def satisfying_stable_set(inst, predicate, bound=ENUM_BOUND):
-    """Stable matchings satisfying a predicate, in lexicographic order."""
-    return [g for g in all_stable_matchings(inst, bound) if predicate(g)]

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from latmed.cli import build_parser, dispatch, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -73,6 +75,17 @@ def test_market_clear_golden_bytes(capsys):
     # demand set and matching per round
     _, out = run(capsys, "market", "clear", MARKET60, "--json")
     assert out == (FIXTURES / "market60.clear.json").read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["repro", "verify", "--instances", "8", "--trials", "3"], "verify8x3.json"),
+    (["repro", "paper-example"], "paper_example.json"),
+])
+def test_repro_golden_bytes(capsys, argv, golden):
+    # a change in the order of random draws or in any battery's counts
+    # changes these bytes
+    _, out = run(capsys, *argv, "--json")
+    assert out == (FIXTURES / golden).read_text()
 
 
 def test_market_with_long_augmenting_paths(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Median construction: both routes, invariants, and the regularity gate."""
 
+import random
 from functools import reduce
 from itertools import product
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmed.errors import EmptyInput, NotRegular, ShapeMismatch
+from latmed.errors import EmptyInput, JOutOfRange, NotRegular, ShapeMismatch
 from latmed.lattice_median import (
     EXHAUSTIVE_BOUND,
     check_median_theorem,
     check_regular,
+    checked_median,
     generalized_medians,
     median_invariant_failures,
     medians_via_meet_join,
@@ -47,6 +49,15 @@ families = st.integers(1, 8).flatmap(
 @settings(max_examples=300)
 def test_routes_agree(family):
     assert generalized_medians(family) == medians_via_meet_join(family)
+
+
+def test_routes_agree_on_seeded_families():
+    # one pass of the insertion network must sort every column
+    rng = random.Random(11)
+    for _ in range(5000):
+        k, dim = rng.randint(1, 9), rng.randint(1, 6)
+        family = [tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(k)]
+        assert medians_via_meet_join(family) == generalized_medians(family)
 
 
 @given(families)
@@ -85,6 +96,22 @@ def test_validation_errors():
         generalized_medians([(1, 2), (1, 2, 3)])
     with pytest.raises(EmptyInput):
         medians_via_meet_join([])
+
+
+def test_checked_median_refuses_first_non_member():
+    with pytest.raises(KeyError) as e:
+        checked_median([(0, 0), (5, 5), (6, 6)], 1, lambda x: x[0] < 5, KeyError)
+    assert e.value.args == ((5, 5),)
+    with pytest.raises(JOutOfRange):
+        checked_median([(0, 0)], 2, lambda x: True, KeyError)
+
+
+def test_checked_median_checks_its_output():
+    family = [(1, 0), (0, 1)]
+    assert checked_median(family, 2, lambda x: True, KeyError) == (1, 1)
+    # a member set that is not a sublattice: the meet (0,0) is outside it
+    with pytest.raises(AssertionError):
+        checked_median(family, 1, lambda x: x in family, KeyError)
 
 
 def test_invariant_checker_can_fail():

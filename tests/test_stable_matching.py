@@ -27,7 +27,6 @@ from latmed.stable_matching import (
     median_stable,
     parse_instance,
     regret_le,
-    satisfying_stable_set,
     serialize_instance,
     smp_instance,
     stability_report,
@@ -228,14 +227,6 @@ def test_forbids_semantics():
     # man 0 at rank 0 takes woman 1, which is exactly what is forbidden
     assert not pred((0, 0))
     assert pred((1, 0))
-
-
-def test_satisfying_stable_set_filters_in_order():
-    inst = block_swap_instance(2)
-    stable = all_stable_matchings(inst)
-    got = satisfying_stable_set(inst, lambda g: g[0] == 0)
-    assert got == [g for g in stable if g[0] == 0]
-    assert got == sorted(got)
 
 
 @given(st.integers(0, 10_000))

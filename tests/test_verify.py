@@ -2,6 +2,7 @@
 
 import random
 
+from latmed import lattice_median
 from latmed.verify import (
     VerifyConfig,
     block_swap_instance,
@@ -58,6 +59,16 @@ def test_gate_battery_exercises_both_paths():
     r = regularity_gate_battery(random.Random(3), trials=60)
     assert r.passed
     assert 0 < r.gated < r.checked  # some refused, some checked through
+
+
+def test_gate_battery_catches_a_gate_that_refuses_everything(monkeypatch):
+    def refuse_all(elements):
+        return lattice_median.PredicateReport(False, ((0,), (0,), "meet"))
+
+    monkeypatch.setattr(lattice_median, "check_regular", refuse_all)
+    r = regularity_gate_battery(random.Random(3), trials=60)
+    assert not r.passed
+    assert all("gate fired on a regular set" in f for f in r.failures)
 
 
 def test_catalog_shapes():
