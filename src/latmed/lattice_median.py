@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import le
 
 from .errors import EmptyInput, JOutOfRange, NotRegular, ShapeMismatch
 from .order_core import format_vector, join, meet
@@ -39,9 +40,9 @@ def generalized_medians(vectors):
     join, and the outputs form a chain.
     """
     vs = _validated(vectors)
-    k = len(vs)
-    cols = [sorted(col) for col in zip(*vs)]
-    return [tuple(col[j] for col in cols) for j in range(k)]
+    if not vs[0]:
+        return [()] * len(vs)
+    return list(zip(*map(sorted, zip(*vs))))
 
 
 def medians_via_meet_join(vectors):
@@ -67,13 +68,14 @@ def median_invariant_failures(inputs, medians):
     property; empty result means both hold.
     """
     failures = []
-    for r in range(len(inputs[0])):
-        got = sorted(m[r] for m in medians)
-        want = sorted(v[r] for v in inputs)
-        if got != want:
-            failures.append(f"coordinate {r}: multiset {got} != {want}")
+    if list(map(sorted, zip(*medians))) != list(map(sorted, zip(*inputs))):
+        for r in range(len(inputs[0])):
+            got = sorted(m[r] for m in medians)
+            want = sorted(v[r] for v in inputs)
+            if got != want:
+                failures.append(f"coordinate {r}: multiset {got} != {want}")
     for a, b in zip(medians, medians[1:]):
-        if not all(x <= y for x, y in zip(a, b)):
+        if not all(map(le, a, b)):
             failures.append(
                 f"chain broken: {format_vector(a)} !<= {format_vector(b)}"
             )

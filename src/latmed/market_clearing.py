@@ -7,13 +7,17 @@ market when the demand graph contains a perfect matching. Clearing
 vectors are closed under componentwise min and max, so the coordinatewise
 median construction applies; the ascending auction below computes the
 componentwise minimum directly.
+
+A clearing vector supports every maximum-value assignment mu (Shapley and
+Shubik 1971): it clears exactly when p[mu(i)] - p[j] <= v[i][mu(i)] - v[i][j]
+for every buyer i and item j. The enumeration reads the clearing set off
+these difference constraints, without building a demand graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import sub
+from operator import add, sub
 
 from . import bipartite
 from .errors import (
@@ -208,21 +212,102 @@ def min_clearing_prices(inst):
     return result
 
 
+def _max_value_assignment(valuations):
+    """A maximum-value assignment as buyer -> item, by the Hungarian method.
+
+    Kuhn-Munkres in its O(n^3) shortest-augmenting-path form, on costs
+    -valuations with row and column potentials. Each row is added by
+    growing a tree of tight edges from it until it reaches a free column,
+    shifting the potentials by the least slack at each step.
+    """
+    n = len(valuations)
+    inf = float("inf")
+    u = [0] * (n + 1)  # row potentials; index 0 is a sentinel row
+    v = [0] * (n + 1)  # column potentials; column 0 holds the row being added
+    owner = [0] * (n + 1)  # row (1-based) assigned to each column, 0 if none
+    way = [0] * (n + 1)  # previous column on the shortest path
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row = valuations[i0 - 1]
+            delta, j1 = inf, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = -row[j - 1] - u[i0] - v[j]
+                if cur < slack[j]:
+                    slack[j], way[j] = cur, j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    mu = [0] * n
+    for j in range(1, n + 1):
+        mu[owner[j] - 1] = j - 1
+    return tuple(mu)
+
+
 def enumerate_clearing_vectors(inst, n_bound=ENUM_N_BOUND, cap_bound=ENUM_CAP_BOUND):
     """All clearing vectors in the box [0, cap]^n, in lexicographic order.
 
-    Brute force over (cap+1)^n candidates; refuses instances beyond the
-    given bounds.
+    Takes a maximum-value assignment mu and writes the clearing set as
+    difference constraints d[a][b] >= p[a] - p[b], with a zero-price node
+    bounding the box. Floyd-Warshall closes them; a negative cycle means
+    the box holds no clearing vector. A closed difference network is
+    minimal and backtrack-free (Dechter, Meiri and Pearl 1991), so fixing
+    coordinates in index order, each within the range the earlier ones
+    allow, never reaches a dead end: the work is O(n) per prefix of an
+    output vector. Refuses instances beyond the given bounds.
     """
     if inst.n > n_bound:
         raise TooLarge(f"n={inst.n} exceeds enumeration bound {n_bound}")
     if inst.price_cap > cap_bound:
         raise TooLarge(f"cap={inst.price_cap} exceeds enumeration bound {cap_bound}")
+    # node 0 is a zero price and node j + 1 is item j; d[a][b] bounds
+    # p[a] - p[b] from above, starting from the box 0 <= p <= cap
+    m, cap, vals = inst.n + 1, inst.price_cap, inst.valuations
+    d = [[0] * m] + [[0 if a == b else cap for b in range(m)] for a in range(1, m)]
+    for row, a in zip(vals, _max_value_assignment(vals)):
+        da = d[a + 1]
+        for j, x in enumerate(row, start=1):
+            da[j] = min(da[j], row[a] - x)
+    for k in range(m):
+        dk = d[k]
+        for da in d:
+            dak = da[k]
+            da[:] = map(min, da, [dak + x for x in dk])
+    if any(d[a][a] < 0 for a in range(m)):
+        return []
+    # with nodes 0..k-1 fixed at p, node k ranges over
+    # [max(p[t] - d[t][k]), min(p[t] + d[k][t])], t < k
+    below = [[d[t][k] for t in range(k)] for k in range(m)]
+    above = [d[k][:k] for k in range(m)]
     out = []
-    for cand in product(range(inst.price_cap + 1), repeat=inst.n):
-        match_l, _ = bipartite.max_matching(inst.n, inst.n, _demands(inst, cand))
-        if -1 not in match_l:
-            out.append(cand)
+    stack = [(0,)]
+    while stack:
+        head = stack.pop()
+        k = len(head)
+        lo = max(map(sub, head, below[k]))
+        hi = min(map(add, head, above[k]))
+        if k == m - 1:
+            tail = head[1:]
+            out.extend(tail + (x,) for x in range(lo, hi + 1))
+        else:
+            stack.extend(head + (x,) for x in range(hi, lo - 1, -1))
     return out
 
 

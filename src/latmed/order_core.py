@@ -37,13 +37,13 @@ IDEAL_ENUM_BOUND = 20
 def meet(u, v):
     """Componentwise minimum (set intersection of the encoded ideals)."""
     _check_shape(u, v)
-    return tuple(min(a, b) for a, b in zip(u, v))
+    return tuple(map(min, u, v))
 
 
 def join(u, v):
     """Componentwise maximum (set union of the encoded ideals)."""
     _check_shape(u, v)
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 
 def _check_shape(u, v):
@@ -52,7 +52,7 @@ def _check_shape(u, v):
 
 
 def format_vector(v) -> str:
-    return "(" + ",".join(str(c) for c in v) + ")"
+    return "(" + ",".join(map(str, v)) + ")"
 
 
 def parse_vector(text: str):

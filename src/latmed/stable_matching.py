@@ -139,7 +139,9 @@ def stability_report(inst, assignment):
 
     A pair (m, w) blocks when m strictly prefers w to his partner and w
     strictly prefers m to hers. Blocking pairs are only meaningful for
-    genuine matchings, so they are not computed otherwise.
+    genuine matchings, so they are not computed otherwise. Each man's
+    list is read only down to his partner, so the work is n plus the sum
+    of the ranks.
     """
     wives = assignment_to_matching(inst, assignment)
     if len({w for _, w in wives}) != inst.n:
@@ -147,13 +149,13 @@ def stability_report(inst, assignment):
     husband = [-1] * inst.n
     for m, w in wives:
         husband[w] = m
-    blocking = []
-    for m in range(inst.n):
-        for w in range(inst.n):
-            if inst.men_rank[m][w] < assignment[m] and (
-                inst.women_rank[w][m] < inst.women_rank[w][husband[w]]
-            ):
-                blocking.append((m, w))
+    women_rank = inst.women_rank
+    blocking = sorted(
+        (m, w)
+        for m, prefs in enumerate(inst.men_prefs)
+        for w in prefs[:assignment[m]]
+        if women_rank[w][m] < women_rank[w][husband[w]]
+    )
     return StabilityReport(is_matching=True, blocking=tuple(blocking))
 
 

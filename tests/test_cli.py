@@ -123,6 +123,18 @@ def test_lattice_medians_and_j_flag(capsys, tmp_path):
     assert report.exit_code == 1 and out.startswith("JOutOfRange")
 
 
+def test_lattice_medians_of_empty_vectors(capsys, tmp_path):
+    # k zero-length vectors have k zero-length medians
+    vfile = tmp_path / "empty.txt"
+    vfile.write_text("()\n()\n()\n")
+    report, out = run(capsys, "lattice", "medians", "--vectors", str(vfile))
+    assert report.exit_code == 0 and out == "()\n()\n()\n"
+    _, out = run(capsys, "lattice", "medians", "--vectors", str(vfile), "--json")
+    payload = json.loads(out)
+    assert payload["results"] == ["()", "()", "()"]
+    assert payload["digest"] == "bf7189515ec1"
+
+
 def test_lattice_check_regular(capsys, tmp_path):
     vfile = tmp_path / "vecs.txt"
     vfile.write_text("(0,0)\n(1,0)\n(0,1)\n(1,1)\n")

@@ -160,3 +160,29 @@ def test_theorem_check_sampled_path_is_deterministic():
     assert a == b
     assert a.subsets_checked == 50
     assert a.passed  # a full grid is closed, so no violations
+
+
+def test_invariant_failure_messages():
+    # a median family that loses a value in coordinate 1
+    assert median_invariant_failures(
+        [(1, 0, 2), (0, 3, 1)], [(0, 0, 1), (1, 2, 2)]
+    ) == ["coordinate 1: multiset [0, 2] != [0, 3]"]
+    # the same, behind a first median equal to the first input
+    assert median_invariant_failures([(0, 1), (2, 3)], [(0, 1), (2, 4)]) == [
+        "coordinate 1: multiset [1, 4] != [1, 3]"
+    ]
+    # one that keeps every multiset but is not a chain
+    assert median_invariant_failures([(0, 0), (1, 1)], [(1, 1), (0, 0)]) == [
+        "chain broken: (1,1) !<= (0,0)"
+    ]
+    # both at once: coordinate messages come first
+    assert median_invariant_failures(
+        [(2, 1), (0, 3), (1, 1)], [(0, 1), (1, 0), (2, 3)]
+    ) == ["coordinate 1: multiset [0, 1, 3] != [1, 1, 3]",
+          "chain broken: (0,1) !<= (1,0)"]
+
+
+def test_zero_length_vectors_give_k_empty_medians():
+    assert generalized_medians([(), (), ()]) == [(), (), ()]
+    assert medians_via_meet_join([(), ()]) == [(), ()]
+    assert median_invariant_failures([(), ()], [(), ()]) == []

@@ -1,12 +1,15 @@
 """Market clearing: demand graphs, the auction, enumeration, medians."""
 
 import random
+from functools import lru_cache
+from itertools import permutations, product
+from operator import getitem, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmed import bipartite
+from latmed import bipartite, market_clearing
 from latmed.errors import (
     JOutOfRange,
     MalformedFile,
@@ -19,6 +22,7 @@ from latmed.errors import (
 from latmed.market_clearing import (
     _check_prices,
     _demands,
+    _max_value_assignment,
     clearing_matching,
     enumerate_clearing_vectors,
     is_market_clearing,
@@ -29,7 +33,7 @@ from latmed.market_clearing import (
     serialize_market,
 )
 from latmed.order_core import join, meet
-from latmed.verify import random_market_instance
+from latmed.verify import VerifyConfig, _Counter, market_battery, random_market_instance
 
 
 def test_instance_validation():
@@ -289,3 +293,95 @@ def test_cap_below_auction_minimum_is_refused_like_the_oracle():
             min_clearing_prices(capped)
         refused += 1
     assert refused > 100
+
+
+@lru_cache(maxsize=None)
+def has_perfect_matching(demand_masks):
+    # the item sets that buyers 0..i can take, one demanded item each
+    items = range(len(demand_masks))
+    taken = {0}
+    for mask in demand_masks:
+        taken = {s | 1 << j for s in taken for j in items if (mask & ~s) >> j & 1}
+    return bool(taken)
+
+
+def box_scan(inst):
+    # oracle: every vector in [0, cap]^n whose demand graph has a perfect
+    # matching, with the demand sets recomputed here. The last price varies
+    # innermost, so each buyer's best payoff among the other items (and the
+    # items reaching it, as a bitmask) is computed once per prefix
+    n, cap = inst.n, inst.price_cap
+    last = 1 << (n - 1)
+    out = []
+    for head in product(range(cap + 1), repeat=n - 1):
+        rows = []
+        for row in inst.valuations:
+            pay = list(map(sub, row, head))
+            best = max(pay, default=float("-inf"))
+            rows.append((row[-1], best, sum(1 << j for j, x in enumerate(pay) if x == best)))
+        for q in range(cap + 1):
+            masks = tuple(
+                last if r - q > best else mask | last if r - q == best else mask
+                for r, best, mask in rows
+            )
+            if has_perfect_matching(masks):
+                out.append(head + (q,))
+    return out
+
+
+def test_box_scan_oracle_by_hand():
+    assert box_scan(market_instance([[2, 1], [2, 0]])) == [(1, 0), (2, 0), (2, 1)]
+    assert box_scan(market_instance([[5]])) == [(p,) for p in range(6)]
+    assert box_scan(market_instance([[2, 1], [2, 1]], price_cap=0)) == []
+
+
+def test_enumeration_matches_box_scan():
+    rng = random.Random(67)
+    empty = cap_zero = 0
+    for _ in range(5000):
+        n = rng.randint(1, 4)
+        vals = [[rng.randint(0, 6) for _ in range(n)] for _ in range(n)]
+        inst = market_instance(vals, rng.choice([None, *range(7)]))
+        want = box_scan(inst)
+        assert enumerate_clearing_vectors(inst) == want, serialize_market(inst)
+        empty += not want
+        cap_zero += inst.price_cap == 0
+    assert empty > 300 and cap_zero > 500
+
+
+def test_enumeration_matches_box_scan_beyond_default_bound():
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(5, 6)
+        vals = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        inst = market_instance(vals, rng.choice([None, 0, 1, 2]))
+        assert enumerate_clearing_vectors(inst, n_bound=6) == box_scan(inst)
+
+
+def test_max_value_assignment_matches_brute_force():
+    rng = random.Random(73)
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        top = rng.choice([1, 3, 9, 100])
+        vals = [[rng.randint(0, top) for _ in range(n)] for _ in range(n)]
+        mu = _max_value_assignment(vals)
+        assert sorted(mu) == list(range(n))
+        best = max(sum(map(getitem, vals, perm)) for perm in permutations(range(n)))
+        assert sum(map(getitem, vals, mu)) == best, vals
+
+
+def test_enumeration_does_not_share_the_demand_sets(monkeypatch):
+    # a mutant demand rule that keeps only the first best item breaks the
+    # clearing check; the enumeration does not read demand sets, so the
+    # battery's clearing medians catch the mutant
+    real = market_clearing._row_demand
+
+    def first_best_only(row, prices):
+        pay, best, items = real(row, prices)
+        return pay, best, items[:1]
+
+    monkeypatch.setattr(market_clearing, "_row_demand", first_best_only)
+    rows = market_battery(random.Random(3), VerifyConfig(market_instances=100),
+                          _Counter("median-invariants"))
+    medians = next(r for r in rows if r.name == "market-median-clearing")
+    assert medians.failures

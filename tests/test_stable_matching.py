@@ -236,3 +236,40 @@ def test_gs_always_stable(seed):
     inst = random_smp_instance(rng, rng.randint(1, 7))
     for side in ("men", "women"):
         assert stability_report(inst, gale_shapley(inst, side)).stable
+
+
+def quadratic_stability(inst, assignment):
+    # oracle: every (man, woman) pair, each read from the rank tables
+    wife = [inst.men_prefs[m][r] for m, r in enumerate(assignment)]
+    if len(set(wife)) != inst.n:
+        return False, ()
+    husband = {w: m for m, w in enumerate(wife)}
+    return True, tuple(
+        (m, w)
+        for m in range(inst.n)
+        for w in range(inst.n)
+        if inst.men_rank[m][w] < assignment[m]
+        and inst.women_rank[w][m] < inst.women_rank[w][husband[w]]
+    )
+
+
+def test_stability_report_matches_quadratic_scan():
+    rng = random.Random(83)
+    seen = {"stable": 0, "unstable": 0, "not-a-matching": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        inst = random_smp_instance(rng, n)
+        perm = rng.sample(range(n), n)
+        candidates = [
+            gale_shapley(inst, "men"),
+            gale_shapley(inst, "women"),
+            tuple(inst.men_rank[m][w] for m, w in enumerate(perm)),
+            tuple(rng.randrange(n) for _ in range(n)),
+        ]
+        for g in candidates:
+            rep = stability_report(inst, g)
+            assert (rep.is_matching, rep.blocking) == quadratic_stability(inst, g)
+            kind = "not-a-matching" if not rep.is_matching else (
+                "unstable" if rep.blocking else "stable")
+            seen[kind] += 1
+    assert min(seen.values()) > 500, seen
