@@ -167,9 +167,12 @@ def test_invariant_failure_messages():
     assert median_invariant_failures(
         [(1, 0, 2), (0, 3, 1)], [(0, 0, 1), (1, 2, 2)]
     ) == ["coordinate 1: multiset [0, 2] != [0, 3]"]
-    # the same, behind a first median equal to the first input
+    # the same in the last median only, then in the first median only
     assert median_invariant_failures([(0, 1), (2, 3)], [(0, 1), (2, 4)]) == [
         "coordinate 1: multiset [1, 4] != [1, 3]"
+    ]
+    assert median_invariant_failures([(0, 1), (2, 3)], [(0, 2), (2, 3)]) == [
+        "coordinate 1: multiset [2, 3] != [1, 3]"
     ]
     # one that keeps every multiset but is not a chain
     assert median_invariant_failures([(0, 0), (1, 1)], [(1, 1), (0, 0)]) == [
