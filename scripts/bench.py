@@ -1,12 +1,15 @@
 """Compare a change against its parent checkout and write BENCH_<PR>.json.
 
-    git worktree add ../parent HEAD~1
-    python3 scripts/bench.py ../parent --pairs 10 --seed 2026 --out BENCH_8.json
+    git worktree add ../parent <base-commit>
+    python3 scripts/bench.py ../parent --seed 2026 --out BENCH_8.json
 
-Run from the repository root of the change. For each workload listed in
-BENCHMARK.json, runs `perfbench/run.py` of both checkouts in alternating
-order (the parent first in even pairs, the change first in odd ones), each
-for the file's `run_seconds`, one process at a time. The output records
+Run from the repository root of the change; `<base-commit>` is the commit
+the change is based on (for a branch off main, `$(git merge-base HEAD
+main)`), not `HEAD~1` when the change spans several commits. For each
+workload listed in BENCHMARK.json, runs `perfbench/run.py` of both
+checkouts in 10 pairs of alternating order (the parent first in even
+pairs, the change first in odd ones), each for the file's `run_seconds`,
+one process at a time. The output records
 the environment, every run's end-to-end metrics, each side's median and
 quartiles, how many pairs each metric improved in, the change's Tier-1
 wall time, and fixed-size layer timings of both sides (median of 5 with
@@ -27,6 +30,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+PAIRS = 10  # the fewest pairs in which a claimed gain can win 9 of 10
 
 # timed in a fresh interpreter against one side's src/
 LAYERS = r"""
@@ -129,16 +133,11 @@ def tier1(root):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="per run; defaults to run_seconds in BENCHMARK.json")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     roots = {"parent": args.parent.resolve(), "change": ROOT}
 
     report = {
@@ -150,10 +149,10 @@ def main(argv=None):
     }
     for workload in (w["name"] for w in bench["workloads"]):
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                print(f"{workload} pair {i + 1}/{args.pairs}: {side}", file=sys.stderr)
+                print(f"{workload} pair {i + 1}/{PAIRS}: {side}", file=sys.stderr)
                 runs[side].append(perfbench(roots[side], workload, args.seed, seconds))
         report["workloads"][workload] = {
             "runs": runs, "summary": compare(runs, bench["end_to_end"])}

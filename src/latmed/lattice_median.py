@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 from operator import le
 
 from .errors import EmptyInput, JOutOfRange, NotRegular, ShapeMismatch
@@ -68,12 +68,11 @@ def median_invariant_failures(inputs, medians):
     property; empty result means both hold.
     """
     failures = []
-    if list(map(sorted, zip(*medians))) != list(map(sorted, zip(*inputs))):
-        for r in range(len(inputs[0])):
-            got = sorted(m[r] for m in medians)
-            want = sorted(v[r] for v in inputs)
-            if got != want:
-                failures.append(f"coordinate {r}: multiset {got} != {want}")
+    columns = zip_longest(map(sorted, zip(*medians)), map(sorted, zip(*inputs)),
+                          fillvalue=[])
+    for r, (got, want) in enumerate(columns):
+        if got != want:
+            failures.append(f"coordinate {r}: multiset {got} != {want}")
     for a, b in zip(medians, medians[1:]):
         if not all(map(le, a, b)):
             failures.append(

@@ -183,6 +183,10 @@ def test_invariant_failure_messages():
         [(2, 1), (0, 3), (1, 1)], [(0, 1), (1, 0), (2, 3)]
     ) == ["coordinate 1: multiset [0, 1, 3] != [1, 1, 3]",
           "chain broken: (0,1) !<= (1,0)"]
+    # no medians at all: every coordinate lost its values
+    assert median_invariant_failures([(0, 1)], []) == [
+        "coordinate 0: multiset [] != [0]", "coordinate 1: multiset [] != [1]"
+    ]
 
 
 def test_zero_length_vectors_give_k_empty_medians():
