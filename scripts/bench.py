@@ -37,7 +37,8 @@ LAYERS = r"""
 import json, random, statistics, sys
 from time import perf_counter
 from latmed import lattice_median as lm, market_clearing as mc, stable_matching as sm
-from latmed.verify import VerifyConfig, random_market_instance, random_smp_instance
+from latmed.verify import (VerifyConfig, block_swap_instance, random_market_instance,
+                           random_smp_instance)
 
 def timed(size, fn, repeats=5):
     times = []
@@ -61,6 +62,8 @@ for _ in range(cfg.median_families):
 smp = random_smp_instance(rng, 400)
 women_optimal = sm.gale_shapley(smp, "women")
 market = random_market_instance(rng, 200, 199)
+smps = [random_smp_instance(rng, rng.randint(cfg.smp_n_min, cfg.smp_n_max))
+        for _ in range(cfg.smp_instances)] + [block_swap_instance(4)]
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
         f"{len(markets)} markets, n {cfg.market_n_min}-{cfg.market_n_max}, "
@@ -75,6 +78,10 @@ print(json.dumps({
     "min_clearing_prices": timed(
         "n = 200, valuations 0-199",
         lambda: mc.min_clearing_prices(market)),
+    "all_stable_matchings": timed(
+        f"{cfg.smp_instances} instances, n {cfg.smp_n_min}-{cfg.smp_n_max}, "
+        "and a 4-block gadget (16 matchings)",
+        lambda: [sm.all_stable_matchings(s) for s in smps]),
 }))
 """
 

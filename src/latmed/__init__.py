@@ -6,7 +6,9 @@ join, then so does every coordinatewise order statistic of the family.
 `lattice_median` implements the construction over count vectors,
 `order_core` supplies the Birkhoff encoding that justifies the vector
 view, and `stable_matching` / `market_clearing` instantiate it on two
-concrete lattices with brute-force oracles alongside.
+concrete lattices. Stable matchings are enumerated by walking rotations
+up from the men-optimal matching; the brute-force search over perfect
+matchings is kept in the tests as the oracle.
 """
 
 from .errors import LatmedError

@@ -97,12 +97,12 @@ def serialize_market(inst):
     return "\n".join(lines) + "\n"
 
 
-def _check_prices(inst, prices, enforce_cap=True):
+def _check_prices(inst, prices):
     p = tuple(prices)
     if len(p) != inst.n:
         raise ShapeMismatch(f"expected {inst.n} prices, got {len(p)}")
     for j, x in enumerate(p):
-        if x < 0 or (enforce_cap and x > inst.price_cap):
+        if x < 0 or x > inst.price_cap:
             raise OutOfBounds(f"price {x} for item {j} outside 0..{inst.price_cap}")
     return p
 
@@ -152,8 +152,8 @@ def min_clearing_prices(inst):
     unmatched buyers by alternating paths in the demand graph; R is
     overdemanded, and each price in R rises by one. The running vector
     never exceeds any clearing vector in any coordinate, so the result is
-    the minimum; a final shift-down step guards the all-positive case but
-    never fires for the minimum.
+    the minimum. The minimum has a zero price: buyers have no outside
+    option, so lowering every price by one keeps every demand set.
 
     Rounds are incremental. Each buyer keeps its best payoff, its demand
     list and an upper bound on its payoffs outside the list. After a raise,
@@ -201,15 +201,9 @@ def min_clearing_prices(inst):
                 best[u], demands[u], outside[u] = _rescan(inst.valuations[u], p)
     else:
         raise AssertionError(f"auction failed to terminate on {inst}")
-    if min(p) > 0:
-        shift = min(p)
-        p = [x - shift for x in p]
-    result = _check_prices(inst, p, enforce_cap=False)
-    if max(result) > inst.price_cap:
-        raise OutOfBounds(
-            f"minimum clearing prices {result} exceed price cap {inst.price_cap}"
-        )
-    return result
+    if max(p) > inst.price_cap:
+        raise OutOfBounds(f"minimum clearing prices {tuple(p)} exceed price cap {inst.price_cap}")
+    return tuple(p)
 
 
 def _max_value_assignment(valuations):
@@ -261,7 +255,7 @@ def _max_value_assignment(valuations):
     return tuple(mu)
 
 
-def enumerate_clearing_vectors(inst, n_bound=ENUM_N_BOUND, cap_bound=ENUM_CAP_BOUND):
+def enumerate_clearing_vectors(inst, n_bound=ENUM_N_BOUND):
     """All clearing vectors in the box [0, cap]^n, in lexicographic order.
 
     Takes a maximum-value assignment mu and writes the clearing set as
@@ -271,12 +265,12 @@ def enumerate_clearing_vectors(inst, n_bound=ENUM_N_BOUND, cap_bound=ENUM_CAP_BO
     minimal and backtrack-free (Dechter, Meiri and Pearl 1991), so fixing
     coordinates in index order, each within the range the earlier ones
     allow, never reaches a dead end: the work is O(n) per prefix of an
-    output vector. Refuses instances beyond the given bounds.
+    output vector. Refuses instances beyond `n_bound` or ENUM_CAP_BOUND.
     """
     if inst.n > n_bound:
         raise TooLarge(f"n={inst.n} exceeds enumeration bound {n_bound}")
-    if inst.price_cap > cap_bound:
-        raise TooLarge(f"cap={inst.price_cap} exceeds enumeration bound {cap_bound}")
+    if inst.price_cap > ENUM_CAP_BOUND:
+        raise TooLarge(f"cap={inst.price_cap} exceeds enumeration bound {ENUM_CAP_BOUND}")
     # node 0 is a zero price and node j + 1 is item j; d[a][b] bounds
     # p[a] - p[b] from above, starting from the box 0 <= p <= cap
     m, cap, vals = inst.n + 1, inst.price_cap, inst.valuations

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import bipartite
 from .errors import (
     IndexOutOfRange,
     MalformedFile,
@@ -199,44 +198,51 @@ def gale_shapley(inst, proposing_side="men"):
 def all_stable_matchings(inst, bound=ENUM_BOUND):
     """Every stable matching as a rank vector, in lexicographic order.
 
-    Brute force over perfect matchings, assigning men in index order and
-    abandoning any prefix that already contains a blocking pair. Refuses
-    instances larger than `bound`.
+    Walks up the lattice from the men-optimal matching (Irving and
+    Leather 1986). In a stable matching, each man's candidate is the first
+    woman below his wife who prefers him to her husband. The cycles of
+    "man -> his candidate's husband" are the rotations exposed in the
+    matching, and moving every man on one cycle to his candidate gives a
+    stable matching that covers it; every stable matching is reached this
+    way. Refuses instances larger than `bound`.
     """
     if inst.n > bound:
         raise TooLarge(f"n={inst.n} exceeds enumeration bound {bound}")
-    n = inst.n
-    men_rank, women_rank = inst.men_rank, inst.women_rank
-    wife = [-1] * n
-    husband = [-1] * n
-    found = []
-
-    def prefix_blocked(m, w):
-        # blocking pair among assigned people involving the new pair (m, w)
-        for w2 in inst.men_prefs[m]:
-            if w2 == w:
-                break
-            h = husband[w2]
-            if h != -1 and women_rank[w2][m] < women_rank[w2][h]:
-                return True
-        for m2 in range(m):
-            if men_rank[m2][w] < men_rank[m2][wife[m2]] and (
-                women_rank[w][m2] < women_rank[w][m]
-            ):
-                return True
-        return False
-
-    def extend(m):
-        if m == n:
-            found.append(tuple(men_rank[i][wife[i]] for i in range(n)))
-            return
-        for w in range(n):
-            if husband[w] == -1 and not prefix_blocked(m, w):
-                wife[m], husband[w] = w, m
-                extend(m + 1)
-                wife[m], husband[w] = -1, -1
-
-    extend(0)
+    n, men_prefs, women_rank = inst.n, inst.men_prefs, inst.women_rank
+    start = gale_shapley(inst)
+    found = {start}
+    stack = [start]
+    while stack:
+        ranks = stack.pop()
+        husband = [0] * n
+        for m, r in enumerate(ranks):
+            husband[men_prefs[m][r]] = m
+        cand = [None] * n  # rank of each man's candidate
+        for m, r in enumerate(ranks):
+            prefs = men_prefs[m]
+            for s in range(r + 1, n):
+                w = prefs[s]
+                if women_rank[w][m] < women_rank[w][husband[w]]:
+                    cand[m] = s
+                    break
+        # follow the partial function from each man; a walk that comes back
+        # to a man it marked has found a cycle through him
+        mark = [-1] * n
+        for first in range(n):
+            m = first
+            while mark[m] == -1 and cand[m] is not None:
+                mark[m] = first
+                m = husband[men_prefs[m][cand[m]]]
+            if mark[m] != first:
+                continue
+            cover = list(ranks)
+            while cover[m] == ranks[m]:
+                cover[m] = cand[m]
+                m = husband[men_prefs[m][cand[m]]]
+            cover = tuple(cover)
+            if cover not in found:
+                found.add(cover)
+                stack.append(cover)
     return sorted(found)
 
 

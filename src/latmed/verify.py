@@ -9,7 +9,7 @@ string attached.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
 from . import market_clearing as mc
@@ -90,32 +90,18 @@ class VerifyConfig:
         return replace(base, **changes)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PropertyResult:
+    """One verify row; the batteries fill it in as they check."""
+
     name: str
-    checked: int
-    failures: tuple
+    checked: int = 0
+    failures: list = field(default_factory=list)
     gated: int = 0  # predicate sets rejected as not regular (expected path)
 
     @property
     def passed(self):
         return not self.failures
-
-
-class _Counter:
-    def __init__(self, name):
-        self.name = name
-        self.checked = 0
-        self.failures = []
-        self.gated = 0
-
-    def result(self):
-        return PropertyResult(
-            name=self.name,
-            checked=self.checked,
-            failures=tuple(self.failures),
-            gated=self.gated,
-        )
 
 
 def random_smp_instance(rng, n):
@@ -144,8 +130,7 @@ def _note_medians(inv, inputs, medians):
 
 def worked_example_battery():
     """The worked 2-coordinate example, via both implementations."""
-    res = _Counter("paper-example")
-    res.checked = 1
+    res = PropertyResult("paper-example", checked=1)
     direct = tuple(generalized_medians(WORKED_INPUTS))
     via_ops = tuple(medians_via_meet_join(WORKED_INPUTS))
     res.failures.extend(median_invariant_failures(WORKED_INPUTS, direct))
@@ -155,7 +140,7 @@ def worked_example_battery():
         res.failures.append(f"meet/join medians gave {via_ops}")
     if meet((1, 0), (0, 1)) != (0, 0) or join((1, 0), (0, 2)) != (1, 2):
         res.failures.append("pairwise meet/join disagree with expected values")
-    return res.result()
+    return res
 
 
 def _lattice_checks(rng, cfg, inv, tag, members, is_member, subsets, rows, noun):
@@ -187,9 +172,9 @@ def _lattice_checks(rng, cfg, inv, tag, members, is_member, subsets, rows, noun)
 
 def smp_battery(rng, cfg, inv):
     """Median stability, meet/join closure, and proposal-side extremes."""
-    stab = _Counter("smp-median-stability")
-    closure = _Counter("smp-meet-join-closure")
-    extremes = _Counter("smp-proposal-extremes")
+    stab = PropertyResult("smp-median-stability")
+    closure = PropertyResult("smp-meet-join-closure")
+    extremes = PropertyResult("smp-proposal-extremes")
     for _ in range(cfg.smp_instances):
         n = rng.randint(cfg.smp_n_min, cfg.smp_n_max)
         inst = random_smp_instance(rng, n)
@@ -205,17 +190,28 @@ def smp_battery(rng, cfg, inv):
             extremes.failures.append(f"{tag}: men-optimal {lo} != minimum {want_lo}")
         if hi != want_hi or hi not in stable:
             extremes.failures.append(f"{tag}: women-optimal {hi} != maximum {want_hi}")
+        # the walk starts at the men's proposal result; walking the mirrored
+        # instance up from the women's end must find the same set
+        mirror = sm.smp_instance(inst.women_prefs, inst.men_prefs)
+        mirrored = []
+        for g in sm.all_stable_matchings(mirror):
+            ranks = [0] * n
+            for w, m in sm.assignment_to_matching(mirror, g):
+                ranks[m] = inst.men_rank[m][w]
+            mirrored.append(tuple(ranks))
+        if sorted(mirrored) != stable:
+            extremes.failures.append(f"{tag}: walk from the women's side found {mirrored}")
 
         _lattice_checks(
             rng, cfg, inv, tag, stable, lambda g: sm.stability_report(inst, g).stable,
             cfg.subsets_per_instance, (closure, stab), "stable",
         )
-    return [stab.result(), closure.result(), extremes.result()]
+    return [stab, closure, extremes]
 
 
 def vector_family_battery(rng, cfg, inv):
     """Order-statistic medians agree with the meet/join comparator network."""
-    cross = _Counter("median-cross-implementation")
+    cross = PropertyResult("median-cross-implementation")
     for _ in range(cfg.median_families):
         k = rng.randint(1, cfg.family_k_max)
         dim = rng.randint(1, cfg.family_dim_max)
@@ -229,14 +225,14 @@ def vector_family_battery(rng, cfg, inv):
         if direct != via_ops:
             cross.failures.append(f"{family}: {direct} != {via_ops}")
         _note_medians(inv, tuple(family), tuple(direct))
-    return cross.result()
+    return cross
 
 
 def market_battery(rng, cfg, inv):
     """Clearing-set closure, auction minimality, and clearing medians."""
-    closure = _Counter("market-closure")
-    minimum = _Counter("market-auction-minimum")
-    medians = _Counter("market-median-clearing")
+    closure = PropertyResult("market-closure")
+    minimum = PropertyResult("market-auction-minimum")
+    medians = PropertyResult("market-median-clearing")
     for _ in range(cfg.market_instances):
         n = rng.randint(cfg.market_n_min, cfg.market_n_max)
         inst = random_market_instance(rng, n, cfg.market_max_valuation)
@@ -256,7 +252,7 @@ def market_battery(rng, cfg, inv):
             rng, cfg, inv, tag, clearing, lambda p: mc.is_market_clearing(inst, p),
             cfg.market_subsets, (closure, medians), "clearing",
         )
-    return [closure.result(), minimum.result(), medians.result()]
+    return [closure, minimum, medians]
 
 
 def block_swap_instance(blocks):
@@ -316,17 +312,12 @@ def constrained_battery(rng, cfg):
     (small stable lattices are chains), so cube-shaped gadget instances
     are mixed in to force the gate path.
     """
-    res = _Counter("smp-constrained-predicates")
+    res = PropertyResult("smp-constrained-predicates")
     for blocks in (2, 3):
         inst = block_swap_instance(blocks)
         # the middle layer of the cube is never closed under meet
         satisfying = [g for g in sm.all_stable_matchings(inst) if sum(g) % 4 == 2]
-        res.checked += 1
-        try:
-            check_median_theorem(satisfying, k_max=cfg.k_max)
-            res.failures.append(f"gadget blocks={blocks}: gate missed the cube layer")
-        except NotRegular:
-            res.gated += 1
+        _gate(res, f"gadget blocks={blocks}", satisfying, k_max=cfg.k_max)
     for _ in range(cfg.constrained_instances):
         n = rng.randint(cfg.smp_n_min, cfg.smp_n_max)
         inst = random_smp_instance(rng, n)
@@ -343,7 +334,7 @@ def constrained_battery(rng, cfg):
         for label, pred in predicates:
             _gate(res, f"{tag}: {label}", [g for g in stable if pred(g)],
                   k_max=cfg.k_max, trials=20, rng_seed=rng.randrange(1 << 30))
-    return res.result()
+    return res
 
 
 def _close_under_ops(vectors):
@@ -361,14 +352,14 @@ def _close_under_ops(vectors):
     return sorted(out)
 
 
-def regularity_gate_battery(rng, trials=200):
+def regularity_gate_battery(rng, trials):
     """check_median_theorem must refuse exactly the irregular sets.
 
     Random vector sets are usually not closed under meet/join; closing a
     third of them by hand supplies the regular side, so both outcomes of
     the gate are exercised.
     """
-    res = _Counter("regularity-gate")
+    res = PropertyResult("regularity-gate")
     for t in range(trials):
         dim = rng.randint(2, 4)
         raw = {
@@ -379,10 +370,10 @@ def regularity_gate_battery(rng, trials=200):
         if t % 3 == 0:
             vectors = _close_under_ops(vectors)
         _gate(res, vectors, vectors, trials=20, rng_seed=rng.randrange(1 << 30))
-    return res.result()
+    return res
 
 
-def chain_product_lattices(max_elements=50):
+def chain_product_lattices(max_elements):
     """Products of two and three chains, up to the element bound."""
     out = []
     for a in range(2, max_elements // 2 + 1):
@@ -429,9 +420,9 @@ def _multiplicity(n, p):
     return e
 
 
-def birkhoff_battery(max_elements=50):
+def birkhoff_battery(max_elements):
     """Round-trip every catalog lattice through its join-irreducibles."""
-    res = _Counter("birkhoff-round-trip")
+    res = PropertyResult("birkhoff-round-trip")
     for name, lat in chain_product_lattices(max_elements) + fixed_lattices():
         res.checked += 1
         try:
@@ -441,7 +432,7 @@ def birkhoff_battery(max_elements=50):
             continue
         if len(mapping) != len(lat.elements):
             res.failures.append(f"{name}: mapping covers {len(mapping)} elements")
-    return res.result()
+    return res
 
 
 def verify_suite(cfg=None):
@@ -451,7 +442,7 @@ def verify_suite(cfg=None):
         return []
     rng = random.Random(cfg.seed)
     # the smp, vector-family and market batteries check their medians here
-    inv = _Counter("median-invariants")
+    inv = PropertyResult("median-invariants")
     results = [worked_example_battery()]
     results.extend(smp_battery(rng, cfg, inv))
     results.append(vector_family_battery(rng, cfg, inv))
@@ -459,5 +450,5 @@ def verify_suite(cfg=None):
     results.append(constrained_battery(rng, cfg))
     results.append(regularity_gate_battery(rng, cfg.gate_trials))
     results.append(birkhoff_battery(cfg.birkhoff_max_elements))
-    results.append(inv.result())
+    results.append(inv)
     return results

@@ -243,6 +243,23 @@ def test_console_script_entry_point():
     assert proc.stdout.endswith("PASS\n")
 
 
+def test_smp_enumerate_long_cyclic_instance(tmp_path):
+    # one rotation moves every man one woman down his list, n times over
+    n = 1001
+    lines = [f"smp {n}"]
+    lines += [f"man {i}: " + " ".join(str((i + r) % n) for r in range(n)) for i in range(n)]
+    lines += [f"woman {w}: " + " ".join(str((w + 1 + r) % n) for r in range(n))
+              for w in range(n)]
+    path = tmp_path / "cyclic.txt"
+    path.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "latmed.cli", "smp", "enumerate", str(path), "--max-n", "2000"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == n
+
+
 def test_main_returns_exit_code(capsys):
     assert main(["repro", "paper-example"]) == 0
     capsys.readouterr()

@@ -35,6 +35,63 @@ from latmed.stable_matching import (
 from latmed.verify import block_swap_instance, random_smp_instance
 
 
+def brute_force_stable_set(inst):
+    # oracle: search over perfect matchings, assigning men in index order
+    # and abandoning any prefix that already holds a blocking pair
+    n = inst.n
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    wife = [-1] * n
+    husband = [-1] * n
+    found = []
+
+    def prefix_blocked(m, w):
+        # blocking pair among assigned people involving the new pair (m, w)
+        for w2 in inst.men_prefs[m]:
+            if w2 == w:
+                break
+            h = husband[w2]
+            if h != -1 and women_rank[w2][m] < women_rank[w2][h]:
+                return True
+        for m2 in range(m):
+            if men_rank[m2][w] < men_rank[m2][wife[m2]] and (
+                women_rank[w][m2] < women_rank[w][m]
+            ):
+                return True
+        return False
+
+    def extend(m):
+        if m == n:
+            found.append(tuple(men_rank[i][wife[i]] for i in range(n)))
+            return
+        for w in range(n):
+            if husband[w] == -1 and not prefix_blocked(m, w):
+                wife[m], husband[w] = w, m
+                extend(m + 1)
+                wife[m], husband[w] = -1, -1
+
+    extend(0)
+    return sorted(found)
+
+
+def relabelled(inst, rng):
+    # the same instance with men and women renumbered at random
+    pi, sigma = rng.sample(range(inst.n), inst.n), rng.sample(range(inst.n), inst.n)
+    men, women = [None] * inst.n, [None] * inst.n
+    for m, row in enumerate(inst.men_prefs):
+        men[pi[m]] = [sigma[w] for w in row]
+    for w, row in enumerate(inst.women_prefs):
+        women[sigma[w]] = [pi[m] for m in row]
+    return smp_instance(men, women)
+
+
+def cyclic_instance(n, k):
+    # man i ranks women i, i+1, ...; woman w ranks men w+k, w+k+1, ... (mod n)
+    return smp_instance(
+        [[(i + r) % n for r in range(n)] for i in range(n)],
+        [[(w + k + r) % n for r in range(n)] for w in range(n)],
+    )
+
+
 def naive_stable_set(inst):
     # oracle: filter all n! assignments through the stability checker
     out = []
@@ -141,6 +198,34 @@ def test_enumeration_matches_naive_filter():
     for _ in range(60):
         inst = random_smp_instance(rng, rng.randint(1, 5))
         assert all_stable_matchings(inst) == naive_stable_set(inst)
+
+
+def test_rotation_walk_matches_brute_force():
+    rng = random.Random(19)
+    sizes = set()
+    for _ in range(2000):
+        inst = random_smp_instance(rng, rng.randint(1, 9))
+        stable = all_stable_matchings(inst, bound=9)
+        assert stable == brute_force_stable_set(inst), serialize_instance(inst)
+        sizes.add(len(stable))
+    assert max(sizes) >= 6  # some instances have more than a chain or two
+
+
+def test_rotation_walk_on_relabelled_gadgets():
+    rng = random.Random(37)
+    for blocks in (1, 2, 3, 4):
+        for _ in range(20):
+            inst = relabelled(block_swap_instance(blocks), rng)
+            stable = all_stable_matchings(inst, bound=9)
+            assert len(stable) == 2 ** blocks
+            assert stable == brute_force_stable_set(inst)
+
+
+def test_rotation_walk_on_cyclic_families():
+    for n in range(1, 10):
+        for k in range(n):
+            inst = cyclic_instance(n, k)
+            assert all_stable_matchings(inst, bound=9) == brute_force_stable_set(inst)
 
 
 def test_enumeration_bound():

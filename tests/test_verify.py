@@ -1,15 +1,20 @@
 """The verification battery itself: shape, determinism, gating."""
 
 import random
+from dataclasses import replace
 
-from latmed import lattice_median
+import pytest
+
+from latmed import lattice_median, stable_matching
 from latmed.verify import (
+    PropertyResult,
     VerifyConfig,
     block_swap_instance,
     chain_product_lattices,
     fixed_lattices,
     worked_example_battery,
     regularity_gate_battery,
+    smp_battery,
     verify_suite,
 )
 
@@ -81,3 +86,22 @@ def test_catalog_shapes():
 def test_block_swap_instance_sizes():
     inst = block_swap_instance(3)
     assert inst.n == 6
+
+
+@pytest.mark.parametrize("swapped", [("men",), ("women",), ("men", "women")])
+def test_proposal_extremes_catch_a_wrong_proposal_side(monkeypatch, swapped):
+    # the enumeration walks up from the men's proposal result, so a wrong
+    # men's side can only show against the walk from the women's end
+    real = stable_matching.gale_shapley
+
+    def other_side(inst, proposing_side="men"):
+        if proposing_side in swapped:
+            proposing_side = "women" if proposing_side == "men" else "men"
+        return real(inst, proposing_side)
+
+    monkeypatch.setattr(stable_matching, "gale_shapley", other_side)
+    rows = smp_battery(random.Random(5), replace(SMALL, smp_instances=40),
+                       PropertyResult("median-invariants"))
+    failures = next(r for r in rows if r.name == "smp-proposal-extremes").failures
+    assert any("walk from the women's side" in f for f in failures) == ("men" in swapped)
+    assert any("women-optimal" in f for f in failures) == ("women" in swapped)
