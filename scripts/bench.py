@@ -36,7 +36,8 @@ PAIRS = 10  # the fewest pairs in which a claimed gain can win 9 of 10
 LAYERS = r"""
 import json, random, statistics, sys
 from time import perf_counter
-from latmed import lattice_median as lm, market_clearing as mc, stable_matching as sm
+from latmed import lattice_median as lm, market_clearing as mc, order_core as oc
+from latmed import stable_matching as sm
 from latmed.verify import (VerifyConfig, block_swap_instance, random_market_instance,
                            random_smp_instance)
 
@@ -64,6 +65,8 @@ women_optimal = sm.gale_shapley(smp, "women")
 market = random_market_instance(rng, 200, 199)
 smps = [random_smp_instance(rng, rng.randint(cfg.smp_n_min, cfg.smp_n_max))
         for _ in range(cfg.smp_instances)] + [block_swap_instance(4)]
+proposers = random_smp_instance(rng, 1000)
+chain = oc.poset_from_covers(range(1200), [(i, i + 1) for i in range(1199)])
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
         f"{len(markets)} markets, n {cfg.market_n_min}-{cfg.market_n_max}, "
@@ -82,6 +85,11 @@ print(json.dumps({
         f"{cfg.smp_instances} instances, n {cfg.smp_n_min}-{cfg.smp_n_max}, "
         "and a 4-block gadget (16 matchings)",
         lambda: [sm.all_stable_matchings(s) for s in smps]),
+    "gale_shapley": timed(
+        "n = 1000, men proposing, rank tables built each call",
+        lambda: sm.gale_shapley(sm.SMPInstance(proposers.n, proposers.men_prefs,
+                                               proposers.women_prefs))),
+    "chain_partition": timed("a 1200-element chain", lambda: oc.chain_partition(chain)),
 }))
 """
 

@@ -96,8 +96,7 @@ def cmd_smp_solve(ns):
 
 def cmd_smp_enumerate(ns):
     inst = _read_smp(ns.file)
-    bound = ns.max_n if ns.max_n is not None else sm.ENUM_BOUND
-    stable = sm.all_stable_matchings(inst, bound)
+    stable = sm.all_stable_matchings(inst)
     return sm.serialize_instance(inst), [format_vector(g) for g in stable], []
 
 
@@ -142,8 +141,7 @@ def cmd_market_clear(ns):
 
 def cmd_market_enumerate(ns):
     inst = _read_market(ns.file)
-    bound = ns.max_n if ns.max_n is not None else mc.ENUM_N_BOUND
-    clearing = mc.enumerate_clearing_vectors(inst, n_bound=bound)
+    clearing = mc.enumerate_clearing_vectors(inst)
     return mc.serialize_market(inst), [format_vector(p) for p in clearing], []
 
 
@@ -199,9 +197,6 @@ def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", default=False,
                         help="emit the report as a JSON object")
-    bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument("--max-n", type=int, default=None, dest="max_n",
-                         help="override the instance-size bound for enumeration")
 
     parser = argparse.ArgumentParser(
         prog="latmed",
@@ -217,59 +212,59 @@ def build_parser():
                         help="coordinatewise order statistics of a vector file")
     p.add_argument("--vectors", required=True, help="file of count vectors, one per line")
     p.add_argument("--j", type=int, default=None, help="print only the j-th median")
-    p.set_defaults(handler=cmd_lattice_medians, command="lattice medians")
+    p.set_defaults(command="lattice medians")
     p = lsub.add_parser("check-regular", parents=[shared],
                         help="is the vector set closed under meet and join")
     p.add_argument("--vectors", required=True, help="file of count vectors, one per line")
-    p.set_defaults(handler=cmd_lattice_check_regular, command="lattice check-regular")
+    p.set_defaults(command="lattice check-regular")
 
     smp = groups.add_parser("smp", help="stable marriage instances")
     ssub = smp.add_subparsers(dest="cmd", required=True)
     p = ssub.add_parser("solve", parents=[shared], help="deferred acceptance")
     p.add_argument("file")
     p.add_argument("--side", choices=("men", "women"), default="men")
-    p.set_defaults(handler=cmd_smp_solve, command="smp solve")
-    p = ssub.add_parser("enumerate", parents=[shared, bounded],
+    p.set_defaults(command="smp solve")
+    p = ssub.add_parser("enumerate", parents=[shared],
                         help="all stable matchings")
     p.add_argument("file")
-    p.set_defaults(handler=cmd_smp_enumerate, command="smp enumerate")
+    p.set_defaults(command="smp enumerate")
     p = ssub.add_parser("median", parents=[shared],
                         help="j-th median of listed stable matchings")
     p.add_argument("file")
     p.add_argument("--matchings", required=True, help="file of rank vectors")
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(handler=cmd_smp_median, command="smp median")
+    p.set_defaults(command="smp median")
     p = ssub.add_parser("verify", parents=[shared], help="stability of one matching")
     p.add_argument("file")
     p.add_argument("--matching", required=True, help="rank vector, e.g. '(0,1,2)'")
-    p.set_defaults(handler=cmd_smp_verify, command="smp verify")
+    p.set_defaults(command="smp verify")
 
     market = groups.add_parser("market", help="unit-demand markets")
     msub = market.add_subparsers(dest="cmd", required=True)
     p = msub.add_parser("clear", parents=[shared], help="minimum clearing prices")
     p.add_argument("file")
-    p.set_defaults(handler=cmd_market_clear, command="market clear")
-    p = msub.add_parser("enumerate", parents=[shared, bounded],
+    p.set_defaults(command="market clear")
+    p = msub.add_parser("enumerate", parents=[shared],
                         help="all clearing vectors in the price box")
     p.add_argument("file")
-    p.set_defaults(handler=cmd_market_enumerate, command="market enumerate")
+    p.set_defaults(command="market enumerate")
     p = msub.add_parser("median", parents=[shared],
                         help="j-th median of listed clearing vectors")
     p.add_argument("file")
     p.add_argument("--prices", required=True, help="file of price vectors")
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(handler=cmd_market_median, command="market median")
+    p.set_defaults(command="market median")
     p = msub.add_parser("verify", parents=[shared], help="does a vector clear")
     p.add_argument("file")
     p.add_argument("--prices", required=True, help="price vector, e.g. '(1,0)'")
-    p.set_defaults(handler=cmd_market_verify, command="market verify")
+    p.set_defaults(command="market verify")
 
     repro = groups.add_parser("repro", help="reproducibility entry points")
     rsub = repro.add_subparsers(dest="cmd", required=True)
     p = rsub.add_parser("paper-example", parents=[shared],
                         help="the worked 2-coordinate median example")
-    p.set_defaults(handler=cmd_repro_paper_example, command="repro paper-example")
-    p = rsub.add_parser("verify", parents=[shared, bounded],
+    p.set_defaults(command="repro paper-example")
+    p = rsub.add_parser("verify", parents=[shared],
                         help="the full randomized verification battery")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"seed for randomized checks (default {DEFAULT_SEED})")
@@ -277,7 +272,8 @@ def build_parser():
                    help="stable-matching instance count; other batteries scale")
     p.add_argument("--trials", type=int, default=None,
                    help="trial count for randomized checks")
-    p.set_defaults(handler=cmd_repro_verify, command="repro verify")
+    p.add_argument("--max-n", type=int, help="cap instance sizes below the defaults")
+    p.set_defaults(command="repro verify")
     return parser
 
 
@@ -290,11 +286,13 @@ def dispatch(argv):
         violations = () if code == 0 else ("usage error",)
         return RunReport(command=" ".join(argv), digest="", results=(),
                          violations=violations, seed=DEFAULT_SEED, exit_code=code)
+    # looked up per call, so a cmd_* replaced later (by a tracer) is the one run
+    handler = globals()["cmd_" + ns.command.replace(" ", "_").replace("-", "_")]
     try:
-        source, results, violations = ns.handler(ns)
+        source, results, violations = handler(ns)
     except LatmedError as e:
         source, results, violations = "", [], [f"{type(e).__name__}: {e}"]
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         source, results, violations = "", [], [f"FileError: {e}"]
     report = RunReport(
         command=ns.command,

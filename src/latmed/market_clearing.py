@@ -26,12 +26,10 @@ from .errors import (
     OutOfBounds,
     ShapeMismatch,
     SizeMismatch,
-    TooLarge,
 )
 from .lattice_median import checked_median
+from .order_core import check_enum_limit
 
-ENUM_N_BOUND = 4
-ENUM_CAP_BOUND = 6
 _NO_PAYOFF = float("-inf")  # below every payoff
 
 
@@ -255,7 +253,7 @@ def _max_value_assignment(valuations):
     return tuple(mu)
 
 
-def enumerate_clearing_vectors(inst, n_bound=ENUM_N_BOUND):
+def enumerate_clearing_vectors(inst):
     """All clearing vectors in the box [0, cap]^n, in lexicographic order.
 
     Takes a maximum-value assignment mu and writes the clearing set as
@@ -265,15 +263,15 @@ def enumerate_clearing_vectors(inst, n_bound=ENUM_N_BOUND):
     minimal and backtrack-free (Dechter, Meiri and Pearl 1991), so fixing
     coordinates in index order, each within the range the earlier ones
     allow, never reaches a dead end: the work is O(n) per prefix of an
-    output vector. Refuses instances beyond `n_bound` or ENUM_CAP_BOUND.
+    output vector. Each prefix on the stack yields an output, so counting
+    outputs listed, prefixes waiting and the next step's values refuses
+    exactly past ENUM_LIMIT clearing vectors, before a large range or
+    stack is built; the O(n^3) set-up is refused past ENUM_LIMIT constraints.
     """
-    if inst.n > n_bound:
-        raise TooLarge(f"n={inst.n} exceeds enumeration bound {n_bound}")
-    if inst.price_cap > ENUM_CAP_BOUND:
-        raise TooLarge(f"cap={inst.price_cap} exceeds enumeration bound {ENUM_CAP_BOUND}")
+    m, cap, vals = inst.n + 1, inst.price_cap, inst.valuations
+    check_enum_limit(m * m, "price-difference constraints")
     # node 0 is a zero price and node j + 1 is item j; d[a][b] bounds
     # p[a] - p[b] from above, starting from the box 0 <= p <= cap
-    m, cap, vals = inst.n + 1, inst.price_cap, inst.valuations
     d = [[0] * m] + [[0 if a == b else cap for b in range(m)] for a in range(1, m)]
     for row, a in zip(vals, _max_value_assignment(vals)):
         da = d[a + 1]
@@ -297,6 +295,7 @@ def enumerate_clearing_vectors(inst, n_bound=ENUM_N_BOUND):
         k = len(head)
         lo = max(map(sub, head, below[k]))
         hi = min(map(add, head, above[k]))
+        check_enum_limit(len(out) + len(stack) + hi - lo + 1, "clearing vectors")
         if k == m - 1:
             tail = head[1:]
             out.extend(tail + (x,) for x in range(lo, hi + 1))

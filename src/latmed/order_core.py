@@ -27,7 +27,14 @@ from .errors import (
     UnknownLabel,
 )
 
-IDEAL_ENUM_BOUND = 20
+ENUM_LIMIT = 10_000  # the most outputs any enumeration lists
+
+
+def check_enum_limit(count, noun):
+    """Refuse an enumeration once `count` (its outputs, or its set-up's
+    size) exceeds ENUM_LIMIT."""
+    if count > ENUM_LIMIT:
+        raise TooLarge(f"more than {ENUM_LIMIT} {noun}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +208,22 @@ def _ideal_masks(down):
     Elements are added along a linear extension, each to every down-set
     found so far that holds all the elements strictly below it; a
     down-set arises once, when its last element in that order is added.
+    Lists on the way hold down-sets of the whole order: the check is exact.
     """
     ideals = [0]
     for i in sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i)):
         strict = down[i] ^ (1 << i)
         ideals += [m | 1 << i for m in ideals if m & strict == strict]
+        check_enum_limit(len(ideals), "ideals")
     return ideals
 
 
-def all_ideals(poset: Poset, cp: ChainPartition, bound: int = IDEAL_ENUM_BOUND):
+def all_ideals(poset: Poset, cp: ChainPartition):
     """All order ideals as count vectors, ascending lexicographically.
 
     A count vector holds, per chain of `cp`, how many of the ideal's
-    members lie on that chain.
+    members lie on that chain. Refuses more than ENUM_LIMIT ideals.
     """
-    if len(poset.elements) > bound:
-        raise TooLarge(f"{len(poset.elements)} elements exceeds bound {bound}")
     idx = poset.index
     chains = [sum(1 << idx[x] for x in chain) for chain in cp.chains]
     return sorted(

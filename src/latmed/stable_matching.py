@@ -19,11 +19,9 @@ from .errors import (
     NotStableInput,
     RankOutOfRange,
     SizeMismatch,
-    TooLarge,
 )
 from .lattice_median import checked_median
-
-ENUM_BOUND = 8
+from .order_core import check_enum_limit
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ def gale_shapley(inst, proposing_side="men"):
     return tuple(inst.men_rank[m][holds[m]] for m in range(n))
 
 
-def all_stable_matchings(inst, bound=ENUM_BOUND):
+def all_stable_matchings(inst):
     """Every stable matching as a rank vector, in lexicographic order.
 
     Walks up the lattice from the men-optimal matching (Irving and
@@ -204,15 +202,14 @@ def all_stable_matchings(inst, bound=ENUM_BOUND):
     "man -> his candidate's husband" are the rotations exposed in the
     matching, and moving every man on one cycle to his candidate gives a
     stable matching that covers it; every stable matching is reached this
-    way. Refuses instances larger than `bound`.
+    way. Refuses instances with more than ENUM_LIMIT stable matchings.
     """
-    if inst.n > bound:
-        raise TooLarge(f"n={inst.n} exceeds enumeration bound {bound}")
     n, men_prefs, women_rank = inst.n, inst.men_prefs, inst.women_rank
     start = gale_shapley(inst)
     found = {start}
     stack = [start]
     while stack:
+        check_enum_limit(len(found), "stable matchings")
         ranks = stack.pop()
         husband = [0] * n
         for m, r in enumerate(ranks):

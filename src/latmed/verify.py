@@ -67,7 +67,7 @@ class VerifyConfig:
         `instances` replaces the stable-matching instance count and scales
         the other batteries' counts by the same factor (at least 1 each);
         `trials` is the median subsets per instance; `max_n` caps instance
-        sizes, clamped to the enumeration bounds.
+        sizes, and can only lower the defaults.
         """
         base = cls(seed=seed)
         changes = {}
@@ -84,9 +84,8 @@ class VerifyConfig:
                          "median_families", "gate_trials"):
                 changes[name] = max(1, round(getattr(base, name) * scale))
         if max_n is not None:
-            changes["smp_n_max"] = max(base.smp_n_min, min(max_n, sm.ENUM_BOUND))
-            changes["market_n_max"] = max(base.market_n_min,
-                                          min(max_n, mc.ENUM_N_BOUND))
+            changes["smp_n_max"] = max(base.smp_n_min, min(max_n, base.smp_n_max))
+            changes["market_n_max"] = max(base.market_n_min, min(max_n, base.market_n_max))
         return replace(base, **changes)
 
 

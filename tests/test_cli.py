@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from latmed import cli
 from latmed.cli import build_parser, dispatch, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -153,8 +154,37 @@ def test_domain_errors_report_class_name(capsys, tmp_path):
     bad.write_text("not an instance\n")
     report, out = run(capsys, "smp", "solve", str(bad))
     assert report.exit_code == 1 and out.startswith("MalformedFile")
-    report, out = run(capsys, "smp", "enumerate", SMP3, "--max-n", "2")
+    wide = tmp_path / "wide.txt"
+    wide.write_text("market 1 10000\nbuyer 0: 0\n")
+    report, out = run(capsys, "market", "enumerate", str(wide))
     assert report.exit_code == 1 and out.startswith("TooLarge")
+
+
+def test_undecodable_files_are_file_errors(capsys, tmp_path):
+    # a byte that is not UTF-8 in any input file is reported, not raised
+    bad = tmp_path / "bad.txt"
+    for text, argv in ((b"(0,\xff)\n", ["lattice", "medians", "--vectors", str(bad)]),
+                       (b"smp 1\nman 0: 0\nwoman 0: \xff0\n", ["smp", "solve", str(bad)]),
+                       (b"market 1\nbuyer 0: \xff\n", ["market", "clear", str(bad)])):
+        bad.write_bytes(text)
+        report, out = run(capsys, *argv)
+        assert report.exit_code == 1 and out.startswith("FileError: "), argv
+        assert "can't decode byte 0xff" in out
+
+
+def test_handler_is_looked_up_per_call(capsys, monkeypatch):
+    # a cmd_* function replaced after the parser is built (as a tracer
+    # replaces it) is the one dispatch runs
+    build_parser()
+    calls = []
+
+    def patched(ns):
+        calls.append(ns.command)
+        return "", ["patched"], []
+
+    monkeypatch.setattr(cli, "cmd_smp_solve", patched)
+    report, out = run(capsys, "smp", "solve", SMP3)
+    assert calls == ["smp solve"] and out == "patched\n" and report.exit_code == 0
 
 
 def test_usage_error_exit_code(capsys):
@@ -164,11 +194,13 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_flags_only_where_read(capsys):
-    # --seed and --trials belong to repro verify, --max-n to the
-    # enumerations and repro verify; anywhere else they are usage errors
+    # --seed, --trials and --max-n belong to repro verify; anywhere else
+    # they are usage errors
     for argv in (["smp", "solve", SMP3, "--trials", "3"],
                  ["market", "clear", MARKET2, "--seed", "1"],
                  ["smp", "verify", SMP3, "--matching", "(0,0,0)", "--max-n", "3"],
+                 ["smp", "enumerate", SMP3, "--max-n", "3"],
+                 ["market", "enumerate", MARKET2, "--max-n", "3"],
                  ["repro", "paper-example", "--seed", "7"]):
         report = dispatch(argv)
         capsys.readouterr()
@@ -253,7 +285,7 @@ def test_smp_enumerate_long_cyclic_instance(tmp_path):
     path = tmp_path / "cyclic.txt"
     path.write_text("\n".join(lines) + "\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "latmed.cli", "smp", "enumerate", str(path), "--max-n", "2000"],
+        [sys.executable, "-m", "latmed.cli", "smp", "enumerate", str(path)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stderr == ""

@@ -1,0 +1,121 @@
+"""Fuzzed CLI front end: any input file ends in a report, never a traceback.
+
+Input files are drawn near the accepted formats (bad headers, wrong row
+lengths, negative or out-of-range entries, price caps up to 10^6) and as
+raw bytes. Valuations stay at or below 50, since the auction takes one
+round per unit of price.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latmed.cli import dispatch
+
+ENTRY = st.integers(-2, 7)
+FAULTS = st.sampled_from([None, None, None, "header", "row", "drop"])  # mostly well formed
+
+
+def perturbed(draw, lines, headers, entry, n):
+    """`lines` with one of: a bad header, a row off in length or range, or
+    a line dropped; or unchanged."""
+    fault = draw(FAULTS)
+    if fault == "header":
+        lines[0] = draw(st.sampled_from(headers))
+    elif fault == "row":
+        i = draw(st.integers(1, len(lines) - 1))
+        row = draw(st.lists(entry, min_size=max(0, n - 1), max_size=n + 1))
+        lines[i] = lines[i].partition(":")[0] + ": " + " ".join(map(str, row))
+    elif fault == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def smp_text(draw):
+    n = draw(st.integers(1, 5))
+    lines = [f"smp {n}"]
+    for side in ("man", "woman"):
+        lines += [f"{side} {i}: " + " ".join(map(str, draw(st.permutations(range(n)))))
+                  for i in range(n)]
+    return perturbed(draw, lines, [f"smp {n + 1}", "smp", "smp x", "smp 0"], ENTRY, n)
+
+
+@st.composite
+def market_text(draw):
+    n = draw(st.integers(1, 4))
+    cap = draw(st.one_of(st.just(""), st.integers(-3, 12).map(str),
+                         st.integers(0, 10**6).map(str)))
+    lines = [f"market {n} {cap}"]
+    lines += [f"buyer {i}: " + " ".join(map(str, draw(st.lists(st.integers(0, 50),
+                                                                 min_size=n, max_size=n))))
+              for i in range(n)]
+    headers = [f"market {n + 1} {cap}", "market", f"market {n} x", f"market {n} -1"]
+    return perturbed(draw, lines, headers, st.integers(-1, 50), n)
+
+
+def vector(entries):
+    return entries.map(lambda v: "(" + ",".join(map(str, v)) + ")")
+
+
+GARBAGE = st.text(alphabet="(),-0123 x", max_size=8)
+VECTOR = st.one_of(vector(st.lists(st.integers(-1, 7), max_size=5)), GARBAGE)
+
+
+@st.composite
+def vectors_text(draw):
+    # one shape for most lines, now and then another shape or no vector
+    d = draw(st.integers(0, 5))
+    same = vector(st.lists(st.integers(0, 9), min_size=d, max_size=d))
+    line = st.one_of(same, same, same, VECTOR)
+    return "".join(draw(line) + "\n" for _ in range(draw(st.integers(0, 6))))
+
+
+def as_bytes(text_strategy):
+    return st.one_of(text_strategy.map(str.encode), st.binary(max_size=120))
+
+
+# per command: the strategies for its file and its second file (if any),
+# its arguments, where {0} and {1} stand for the files and {v} for a drawn
+# vector, and whether it takes --j
+COMMANDS = {
+    ("lattice", "medians"): (vectors_text(), None, ["--vectors", "{0}"], True),
+    ("lattice", "check-regular"): (vectors_text(), None, ["--vectors", "{0}"], False),
+    ("smp", "solve"): (smp_text(), None, ["{0}"], False),
+    ("smp", "enumerate"): (smp_text(), None, ["{0}"], False),
+    ("smp", "verify"): (smp_text(), None, ["{0}", "--matching", "{v}"], False),
+    ("smp", "median"): (smp_text(), vectors_text(), ["{0}", "--matchings", "{1}"], True),
+    ("market", "clear"): (market_text(), None, ["{0}"], False),
+    ("market", "enumerate"): (market_text(), None, ["{0}"], False),
+    ("market", "verify"): (market_text(), None, ["{0}", "--prices", "{v}"], False),
+    ("market", "median"): (market_text(), vectors_text(), ["{0}", "--prices", "{1}"], True),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_cli_never_raises(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    first, second, flags, takes_j = COMMANDS[command]
+    work = tmp_path_factory.mktemp("fuzz")
+    paths = [work / "a.txt", work / "b.txt"]
+    paths[0].write_bytes(data.draw(as_bytes(first)))
+    if second is not None:
+        paths[1].write_bytes(data.draw(as_bytes(second)))
+    drawn = data.draw(VECTOR)
+    argv = [*command] + [f.format(*map(str, paths), v=drawn) for f in flags]
+    j = data.draw(st.sampled_from([None, -1, 0, 1, 2, 3, 9])) if takes_j else None
+    argv += [] if j is None else ["--j", str(j)]  # required by the median commands
+    as_json = data.draw(st.booleans())
+    argv += ["--json"] if as_json else []
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        report = dispatch(argv)
+    assert report.exit_code in (0, 1, 2)
+    assert report.exit_code == 2 or report.exit_code == bool(report.violations)
+    if as_json and report.exit_code != 2:
+        assert json.loads(out.getvalue())["violations"] == list(report.violations)

@@ -1,6 +1,7 @@
 """Market clearing: demand graphs, the auction, enumeration, medians."""
 
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations, product
 from operator import getitem, sub
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmed import bipartite, market_clearing
+from latmed import bipartite, market_clearing, order_core
 from latmed.errors import (
     JOutOfRange,
     MalformedFile,
@@ -169,10 +170,14 @@ def test_median_clearing_validation():
 
 
 def test_enumeration_bounds():
-    with pytest.raises(TooLarge):
-        enumerate_clearing_vectors(market_instance([[1] * 5] * 5))
-    with pytest.raises(TooLarge):
-        enumerate_clearing_vectors(market_instance([[9]]))
+    # the limit counts clearing vectors, not buyers or price steps
+    inst = market_instance([[1] * 5] * 5)
+    assert enumerate_clearing_vectors(inst) == box_scan(inst)
+    assert enumerate_clearing_vectors(market_instance([[9]])) == [(p,) for p in range(10)]
+    with pytest.raises(TooLarge, match="more than 10000 clearing vectors"):
+        enumerate_clearing_vectors(market_instance([[0]], 10_000))
+    with pytest.raises(TooLarge, match="more than 10000 price-difference constraints"):
+        enumerate_clearing_vectors(market_instance([[0] * 100] * 100))
 
 
 def test_enumeration_is_lexicographic():
@@ -348,7 +353,47 @@ def test_enumeration_matches_box_scan_beyond_default_bound():
         n = rng.randint(5, 6)
         vals = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
         inst = market_instance(vals, rng.choice([None, 0, 1, 2]))
-        assert enumerate_clearing_vectors(inst, n_bound=6) == box_scan(inst)
+        assert enumerate_clearing_vectors(inst) == box_scan(inst)
+
+
+def test_enumeration_refuses_before_the_stack_grows():
+    # every price vector in the box clears, and each prefix has 10^4
+    # extensions: counting the waiting prefixes refuses at the second one,
+    # before 40 levels of 10^4 prefixes pile up on the stack
+    n = 40
+    inst = market_instance([[10_000 * (i == j) for j in range(n)] for i in range(n)], 9_999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="clearing vectors"):
+            enumerate_clearing_vectors(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_enumeration_limit_is_exact(monkeypatch):
+    # the limit is reached at the true count of clearing vectors, or at
+    # the (n + 1)^2 price-difference constraints when there are more
+    rng = random.Random(79)
+    markets = []
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        vals = [[rng.randint(0, 8) for _ in range(n)] for _ in range(n)]
+        markets.append(market_instance(vals, rng.choice([None, *range(12)])))
+    wants = [enumerate_clearing_vectors(inst) for inst in markets]
+    by_output = 0
+    for inst, want in zip(markets, wants):
+        constraints = (inst.n + 1) ** 2
+        need = max(len(want), constraints)
+        monkeypatch.setattr(order_core, "ENUM_LIMIT", need)
+        assert enumerate_clearing_vectors(inst) == want
+        monkeypatch.setattr(order_core, "ENUM_LIMIT", need - 1)
+        by_output += len(want) > constraints
+        noun = "clearing vectors" if len(want) > constraints else "constraints"
+        with pytest.raises(TooLarge, match=noun):
+            enumerate_clearing_vectors(inst)
+    assert by_output > 100
 
 
 def test_max_value_assignment_matches_brute_force():

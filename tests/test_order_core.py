@@ -1,12 +1,14 @@
 """Poset, chain partition, ideal enumeration, and explicit lattice checks."""
 
 import random
+import time
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latmed import order_core
 from latmed.errors import (
     CycleDetected,
     NotALattice,
@@ -31,6 +33,9 @@ from latmed.order_core import (
     parse_vector,
     poset_from_covers,
 )
+from latmed.market_clearing import enumerate_clearing_vectors, market_instance
+from latmed.stable_matching import all_stable_matchings
+from latmed.verify import block_swap_instance
 
 
 def random_poset(rng, n, density=0.3, shuffled=False):
@@ -286,13 +291,47 @@ def test_all_ideals_of_a_long_chain():
     labels = list(range(n))
     p = poset_from_covers(labels, list(zip(labels, labels[1:])))
     cp = ChainPartition(chains=(tuple(labels),))
-    assert all_ideals(p, cp, bound=n) == [(c,) for c in range(n + 1)]
+    assert all_ideals(p, cp) == [(c,) for c in range(n + 1)]
 
 
 def test_all_ideals_size_guard():
     p = poset_from_covers([f"x{i}" for i in range(25)], [])
     with pytest.raises(TooLarge):
         all_ideals(p, chain_partition(p))
+
+
+def test_ideal_limit_is_exact(monkeypatch):
+    # every list on the way holds down-sets of the whole order, so the
+    # limit is reached exactly at the number of ideals
+    rng = random.Random(83)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        covers = [(a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.25]
+        p = poset_from_covers(range(n), covers)
+        cp = chain_partition(p)
+        want = all_ideals(p, cp)
+        monkeypatch.setattr(order_core, "ENUM_LIMIT", len(want))
+        assert all_ideals(p, cp) == want
+        monkeypatch.setattr(order_core, "ENUM_LIMIT", len(want) - 1)
+        with pytest.raises(TooLarge, match=f"more than {len(want) - 1} ideals"):
+            all_ideals(p, cp)
+        monkeypatch.undo()
+
+
+def test_over_limit_enumerations_stop_early():
+    # each output passes ENUM_LIMIT long before it could be listed
+    antichain = poset_from_covers(range(25), [])
+    cases = [
+        lambda: all_ideals(antichain, chain_partition(antichain)),  # 2^25 ideals
+        lambda: all_stable_matchings(block_swap_instance(14)),  # 2^14 matchings
+        lambda: enumerate_clearing_vectors(market_instance([[0]], 10_000)),
+        lambda: enumerate_clearing_vectors(market_instance([[0] * 100] * 100)),
+    ]
+    for case in cases:
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            case()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_running_example_encoding():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latmed import order_core
 from latmed.errors import (
     IndexOutOfRange,
     JOutOfRange,
@@ -205,7 +206,7 @@ def test_rotation_walk_matches_brute_force():
     sizes = set()
     for _ in range(2000):
         inst = random_smp_instance(rng, rng.randint(1, 9))
-        stable = all_stable_matchings(inst, bound=9)
+        stable = all_stable_matchings(inst)
         assert stable == brute_force_stable_set(inst), serialize_instance(inst)
         sizes.add(len(stable))
     assert max(sizes) >= 6  # some instances have more than a chain or two
@@ -216,7 +217,7 @@ def test_rotation_walk_on_relabelled_gadgets():
     for blocks in (1, 2, 3, 4):
         for _ in range(20):
             inst = relabelled(block_swap_instance(blocks), rng)
-            stable = all_stable_matchings(inst, bound=9)
+            stable = all_stable_matchings(inst)
             assert len(stable) == 2 ** blocks
             assert stable == brute_force_stable_set(inst)
 
@@ -225,16 +226,34 @@ def test_rotation_walk_on_cyclic_families():
     for n in range(1, 10):
         for k in range(n):
             inst = cyclic_instance(n, k)
-            assert all_stable_matchings(inst, bound=9) == brute_force_stable_set(inst)
+            assert all_stable_matchings(inst) == brute_force_stable_set(inst)
 
 
 def test_enumeration_bound():
+    # the limit counts stable matchings, not men: 9 men enumerate, and a
+    # 14-block gadget's 16384 matchings are refused
     rng = random.Random(1)
     inst = random_smp_instance(rng, 9)
-    with pytest.raises(TooLarge):
-        all_stable_matchings(inst)
-    with pytest.raises(TooLarge):
-        all_stable_matchings(random_smp_instance(rng, 3), bound=2)
+    assert all_stable_matchings(inst) == brute_force_stable_set(inst)
+    with pytest.raises(TooLarge, match="more than 10000 stable matchings"):
+        all_stable_matchings(block_swap_instance(14))
+
+
+def test_enumeration_limit_is_exact(monkeypatch):
+    # at the true count the walk lists every stable matching; one below
+    # it, the walk refuses
+    rng = random.Random(41)
+    instances = [random_smp_instance(rng, rng.randint(1, 8)) for _ in range(200)]
+    instances += [relabelled(block_swap_instance(b), rng) for b in range(1, 8)]
+    instances += [cyclic_instance(9, 1), cyclic_instance(9, 4)]
+    wants = [all_stable_matchings(inst) for inst in instances]
+    for inst, want in zip(instances, wants):
+        monkeypatch.setattr(order_core, "ENUM_LIMIT", len(want))
+        assert all_stable_matchings(inst) == want
+        monkeypatch.setattr(order_core, "ENUM_LIMIT", len(want) - 1)
+        with pytest.raises(TooLarge):
+            all_stable_matchings(inst)
+    assert max(map(len, wants)) == 128
 
 
 def test_proposal_sides_are_lattice_extremes():

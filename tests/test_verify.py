@@ -50,7 +50,7 @@ def test_scaled_config():
     assert (cfg.smp_instances, cfg.market_instances, cfg.constrained_instances,
             cfg.median_families, cfg.gate_trials) == (20, 10, 5, 100, 20)
     assert cfg.subsets_per_instance == 4
-    assert (cfg.smp_n_max, cfg.market_n_max) == (8, 4)  # the enumeration bounds
+    assert (cfg.smp_n_max, cfg.market_n_max) == (7, 4)  # max_n only lowers sizes
     tiny = VerifyConfig.scaled(7, instances=1, max_n=1)
     assert (tiny.market_instances, tiny.smp_n_max, tiny.market_n_max) == (1, 3, 2)
 
