@@ -38,8 +38,8 @@ import json, random, statistics, sys
 from time import perf_counter
 from latmed import lattice_median as lm, market_clearing as mc, order_core as oc
 from latmed import stable_matching as sm
-from latmed.verify import (VerifyConfig, block_swap_instance, random_market_instance,
-                           random_smp_instance)
+from latmed.verify import (VerifyConfig, birkhoff_battery, block_swap_instance,
+                           random_market_instance, random_smp_instance)
 
 def timed(size, fn, repeats=5):
     times = []
@@ -67,6 +67,7 @@ smps = [random_smp_instance(rng, rng.randint(cfg.smp_n_min, cfg.smp_n_max))
         for _ in range(cfg.smp_instances)] + [block_swap_instance(4)]
 proposers = random_smp_instance(rng, 1000)
 chain = oc.poset_from_covers(range(1200), [(i, i + 1) for i in range(1199)])
+catalog = birkhoff_battery(cfg.birkhoff_max_elements).checked
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
         f"{len(markets)} markets, n {cfg.market_n_min}-{cfg.market_n_max}, "
@@ -90,6 +91,9 @@ print(json.dumps({
         lambda: sm.gale_shapley(sm.SMPInstance(proposers.n, proposers.men_prefs,
                                                proposers.women_prefs))),
     "chain_partition": timed("a 1200-element chain", lambda: oc.chain_partition(chain)),
+    "birkhoff_battery": timed(
+        f"{catalog} catalog lattices of up to {cfg.birkhoff_max_elements} elements",
+        lambda: birkhoff_battery(cfg.birkhoff_max_elements)),
 }))
 """
 

@@ -5,7 +5,7 @@ all satisfy a predicate whose satisfying set is closed under meet and
 join, then so does every coordinatewise order statistic of the family.
 `lattice_median` implements the construction over count vectors,
 `order_core` supplies the Birkhoff encoding that justifies the vector
-view, and `stable_matching` / `market_clearing` instantiate it on two
+view (its explicit lattices are built from count vectors alone), and `stable_matching` / `market_clearing` instantiate it on two
 concrete lattices. Stable matchings are enumerated by walking rotations
 up from the men-optimal matching; the brute-force search over perfect
 matchings is kept in the tests as the oracle.
@@ -20,7 +20,6 @@ from .lattice_median import (
     medians_via_meet_join,
 )
 from .order_core import (
-    ChainPartition,
     ExplicitLattice,
     Poset,
     all_ideals,
@@ -30,7 +29,6 @@ from .order_core import (
     format_vector,
     join,
     join_irreducibles,
-    lattice_from_vectors,
     meet,
     parse_vector,
     poset_from_covers,
@@ -38,7 +36,6 @@ from .order_core import (
 from .verify import VerifyConfig, verify_suite
 
 __all__ = [
-    "ChainPartition",
     "ExplicitLattice",
     "LatmedError",
     "Poset",
@@ -54,7 +51,6 @@ __all__ = [
     "generalized_medians",
     "join",
     "join_irreducibles",
-    "lattice_from_vectors",
     "meet",
     "medians_via_meet_join",
     "parse_vector",

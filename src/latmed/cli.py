@@ -212,58 +212,47 @@ def build_parser():
                         help="coordinatewise order statistics of a vector file")
     p.add_argument("--vectors", required=True, help="file of count vectors, one per line")
     p.add_argument("--j", type=int, default=None, help="print only the j-th median")
-    p.set_defaults(command="lattice medians")
     p = lsub.add_parser("check-regular", parents=[shared],
                         help="is the vector set closed under meet and join")
     p.add_argument("--vectors", required=True, help="file of count vectors, one per line")
-    p.set_defaults(command="lattice check-regular")
 
     smp = groups.add_parser("smp", help="stable marriage instances")
     ssub = smp.add_subparsers(dest="cmd", required=True)
     p = ssub.add_parser("solve", parents=[shared], help="deferred acceptance")
     p.add_argument("file")
     p.add_argument("--side", choices=("men", "women"), default="men")
-    p.set_defaults(command="smp solve")
     p = ssub.add_parser("enumerate", parents=[shared],
                         help="all stable matchings")
     p.add_argument("file")
-    p.set_defaults(command="smp enumerate")
     p = ssub.add_parser("median", parents=[shared],
                         help="j-th median of listed stable matchings")
     p.add_argument("file")
     p.add_argument("--matchings", required=True, help="file of rank vectors")
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(command="smp median")
     p = ssub.add_parser("verify", parents=[shared], help="stability of one matching")
     p.add_argument("file")
     p.add_argument("--matching", required=True, help="rank vector, e.g. '(0,1,2)'")
-    p.set_defaults(command="smp verify")
 
     market = groups.add_parser("market", help="unit-demand markets")
     msub = market.add_subparsers(dest="cmd", required=True)
     p = msub.add_parser("clear", parents=[shared], help="minimum clearing prices")
     p.add_argument("file")
-    p.set_defaults(command="market clear")
     p = msub.add_parser("enumerate", parents=[shared],
                         help="all clearing vectors in the price box")
     p.add_argument("file")
-    p.set_defaults(command="market enumerate")
     p = msub.add_parser("median", parents=[shared],
                         help="j-th median of listed clearing vectors")
     p.add_argument("file")
     p.add_argument("--prices", required=True, help="file of price vectors")
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(command="market median")
     p = msub.add_parser("verify", parents=[shared], help="does a vector clear")
     p.add_argument("file")
     p.add_argument("--prices", required=True, help="price vector, e.g. '(1,0)'")
-    p.set_defaults(command="market verify")
 
     repro = groups.add_parser("repro", help="reproducibility entry points")
     rsub = repro.add_subparsers(dest="cmd", required=True)
     p = rsub.add_parser("paper-example", parents=[shared],
                         help="the worked 2-coordinate median example")
-    p.set_defaults(command="repro paper-example")
     p = rsub.add_parser("verify", parents=[shared],
                         help="the full randomized verification battery")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -273,7 +262,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=None,
                    help="trial count for randomized checks")
     p.add_argument("--max-n", type=int, help="cap instance sizes below the defaults")
-    p.set_defaults(command="repro verify")
     return parser
 
 
@@ -286,6 +274,7 @@ def dispatch(argv):
         violations = () if code == 0 else ("usage error",)
         return RunReport(command=" ".join(argv), digest="", results=(),
                          violations=violations, seed=DEFAULT_SEED, exit_code=code)
+    ns.command = f"{ns.group} {ns.cmd}"
     # looked up per call, so a cmd_* replaced later (by a tracer) is the one run
     handler = globals()["cmd_" + ns.command.replace(" ", "_").replace("-", "_")]
     try:

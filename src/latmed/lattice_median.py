@@ -18,6 +18,8 @@ from .errors import EmptyInput, JOutOfRange, NotRegular, ShapeMismatch
 from .order_core import format_vector, join, meet
 
 EXHAUSTIVE_BOUND = 12
+THEOREM_K_MAX = 5
+THEOREM_TRIALS = 20
 
 
 def _validated(vectors):
@@ -111,18 +113,15 @@ class MedianTheoremReport:
     subsets_checked: int
     violations: tuple  # (family, j, median) triples, sorted
 
-    @property
-    def passed(self):
-        return not self.violations
 
-
-def check_median_theorem(satisfying, k_max=5, trials=100, rng_seed=42):
+def check_median_theorem(satisfying, rng_seed=42):
     """Verify that medians of subsets of a regular set stay in the set.
 
     Requires `satisfying` to be closed under meet and join (NotRegular
-    otherwise, since nothing is guaranteed then). Small sets are checked
-    over every subset of size <= k_max; larger ones over `trials` sampled
-    subsets, from a generator seeded with rng_seed.
+    otherwise, since nothing is guaranteed then). Sets of at most
+    EXHAUSTIVE_BOUND elements are checked over every subset of size <=
+    THEOREM_K_MAX; larger ones over THEOREM_TRIALS sampled subsets, from a
+    generator seeded with rng_seed.
     """
     vs = [tuple(v) for v in satisfying]
     report = check_regular(vs)
@@ -135,14 +134,14 @@ def check_median_theorem(satisfying, k_max=5, trials=100, rng_seed=42):
     if len(vs) <= EXHAUSTIVE_BOUND:
         families = [
             list(sub)
-            for k in range(1, min(k_max, len(vs)) + 1)
+            for k in range(1, min(THEOREM_K_MAX, len(vs)) + 1)
             for sub in combinations(vs, k)
         ]
     else:
         rng = random.Random(rng_seed)
         families = [
-            rng.sample(vs, rng.randint(1, min(k_max, len(vs))))
-            for _ in range(trials)
+            rng.sample(vs, rng.randint(1, min(THEOREM_K_MAX, len(vs))))
+            for _ in range(THEOREM_TRIALS)
         ]
     violations = []
     for family in families:

@@ -19,6 +19,7 @@ from operator import le
 from . import bipartite
 from .errors import (
     CycleDetected,
+    EmptyInput,
     NotALattice,
     NotDistributive,
     OutOfBounds,
@@ -104,10 +105,6 @@ class Poset:
     elements: tuple
     down: tuple
 
-    def leq(self, a, b) -> bool:
-        idx = self.index
-        return bool(self.down[idx[b]] >> idx[a] & 1)
-
     @cached_property
     def index(self):
         return {x: i for i, x in enumerate(self.elements)}
@@ -165,15 +162,8 @@ def poset_from_covers(elements, covers) -> Poset:
 # chain partitions
 
 
-@dataclass(frozen=True)
-class ChainPartition:
-    """Partition of a poset into chains, each listed ascending."""
-
-    chains: tuple
-
-
-def chain_partition(poset: Poset) -> ChainPartition:
-    """Minimum chain partition via maximum matching on strict comparability.
+def chain_partition(poset: Poset):
+    """Minimum chain partition, as a tuple of chains each listed ascending.
 
     Standard Dilworth construction: split every element into a left and a
     right copy, connect u -> v whenever u < v strictly, take a maximum
@@ -195,7 +185,7 @@ def chain_partition(poset: Poset) -> ChainPartition:
             chain.append(poset.elements[j])
             j = match_l[j]
         chains.append(tuple(chain))
-    return ChainPartition(chains=tuple(chains))
+    return tuple(chains)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +208,17 @@ def _ideal_masks(down):
     return ideals
 
 
-def all_ideals(poset: Poset, cp: ChainPartition):
+def all_ideals(poset: Poset, chains):
     """All order ideals as count vectors, ascending lexicographically.
 
-    A count vector holds, per chain of `cp`, how many of the ideal's
-    members lie on that chain. Refuses more than ENUM_LIMIT ideals.
+    A count vector holds, per chain of the partition `chains`, how many of
+    the ideal's members lie on that chain. Refuses more than ENUM_LIMIT
+    ideals.
     """
     idx = poset.index
-    chains = [sum(1 << idx[x] for x in chain) for chain in cp.chains]
+    masks = [sum(1 << idx[x] for x in chain) for chain in chains]
     return sorted(
-        tuple((m & c).bit_count() for c in chains) for m in _ideal_masks(poset.down)
+        tuple((m & c).bit_count() for c in masks) for m in _ideal_masks(poset.down)
     )
 
 
@@ -236,17 +227,13 @@ def all_ideals(poset: Poset, cp: ChainPartition):
 
 
 class ExplicitLattice(Poset):
-    """Finite distributive lattice, stored like any Poset as down masks.
+    """Finite distributive lattice of count vectors, stored as down masks.
 
     Build one with `explicit_lattice`, which checks that every pair has a
     unique meet and join and that the lattice is distributive. In a lattice
     the down mask of meet(a, b) is down(a) & down(b), and the up mask of
     join(a, b) is up(a) & up(b).
     """
-
-    @cached_property
-    def _by_down(self):
-        return {m: i for i, m in enumerate(self.down)}
 
     @cached_property
     def _by_up(self):
@@ -272,46 +259,29 @@ class ExplicitLattice(Poset):
         pos = {i: k for k, i in enumerate(members)}
         return members, tuple(sum(1 << pos[j] for j in _bits(b)) for b in below)
 
-    def meet_of(self, a, b):
-        idx = self.index
-        return self.elements[self._by_down[self.down[idx[a]] & self.down[idx[b]]]]
 
-    def join_of(self, a, b):
-        idx = self.index
-        return self.elements[self._by_up[self.up[idx[a]] & self.up[idx[b]]]]
+def explicit_lattice(vectors) -> ExplicitLattice:
+    """ExplicitLattice over distinct count vectors, ordered componentwise.
 
-
-def explicit_lattice(elements, leq_pairs) -> ExplicitLattice:
-    """Validate an order relation and build an ExplicitLattice from it.
-
-    `leq_pairs` lists every (a, b) with a <= b; reflexive pairs may be
-    left out.
+    Componentwise <= on distinct vectors is a partial order, so what is
+    checked is that every pair has a unique meet and join and that the
+    lattice is distributive. Any finite lattice can be given this way, as
+    the 0/1 indicator vectors of its elements' down-sets.
     """
-    elements = tuple(elements)
-    if len(set(elements)) != len(elements):
-        raise UnknownLabel("duplicate element labels")
-    idx = {x: i for i, x in enumerate(elements)}
-    pairs = []
-    for a, b in leq_pairs:
-        if a not in idx or b not in idx:
-            raise UnknownLabel(f"relation mentions unknown label ({a}, {b})")
-        pairs.append((idx[a], idx[b]))
-    down = [1 << i for i in range(len(elements))]
-    for i, j in pairs:
-        down[j] |= 1 << i
-    for i, j in pairs:
-        if i != j and down[i] >> j & 1:
-            raise CycleDetected(
-                f"{elements[i]} and {elements[j]} are mutually comparable"
-            )
-    for i, j in pairs:
-        if down[i] & ~down[j]:
-            raise NotALattice(
-                f"relation not transitive below ({elements[i]}, {elements[j]})"
-            )
-    lat = ExplicitLattice(elements=elements, down=tuple(down))
-    _check_bounds(elements, lat.down, "meet")
-    _check_bounds(elements, lat.up, "join")
+    vectors = tuple(map(tuple, vectors))
+    if not vectors:
+        raise EmptyInput("a lattice needs at least one element")
+    for v in vectors[1:]:
+        _check_shape(vectors[0], v)
+    if len(set(vectors)) != len(vectors):
+        raise UnknownLabel("duplicate vectors")
+    down = [0] * len(vectors)
+    for (i, u), (j, v) in product(enumerate(vectors), repeat=2):
+        if all(map(le, u, v)):
+            down[j] |= 1 << i
+    lat = ExplicitLattice(elements=vectors, down=tuple(down))
+    _check_bounds(vectors, lat.down, "meet")
+    _check_bounds(vectors, lat.up, "join")
     _check_distributive(lat)
     return lat
 
@@ -326,15 +296,6 @@ def _check_bounds(elements, masks, kind):
                 raise NotALattice(
                     f"no unique {kind} for ({elements[i]}, {elements[j]})"
                 )
-
-
-def lattice_from_vectors(vectors) -> ExplicitLattice:
-    """ExplicitLattice over count vectors under the componentwise order."""
-    vectors = [tuple(v) for v in vectors]
-    for v in vectors[1:]:
-        _check_shape(vectors[0], v)
-    pairs = [(u, v) for u, v in product(vectors, repeat=2) if all(map(le, u, v))]
-    return explicit_lattice(vectors, pairs)
 
 
 def _check_distributive(lat):

@@ -96,11 +96,13 @@ def _parse_pref_line(line, side, i, n):
 
 
 def serialize_instance(inst):
+    # every list entry is an index below n, so each is formatted once
+    names = [str(i) for i in range(inst.n)]
     lines = [f"smp {inst.n}"]
     for i, row in enumerate(inst.men_prefs):
-        lines.append(f"man {i}: " + " ".join(str(w) for w in row))
+        lines.append(f"man {i}: " + " ".join(map(names.__getitem__, row)))
     for i, row in enumerate(inst.women_prefs):
-        lines.append(f"woman {i}: " + " ".join(str(m) for m in row))
+        lines.append(f"woman {i}: " + " ".join(map(names.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -25,8 +25,8 @@ from .order_core import (
     all_ideals,
     birkhoff_round_trip,
     chain_partition,
+    explicit_lattice,
     join,
-    lattice_from_vectors,
     meet,
     poset_from_covers,
 )
@@ -275,8 +275,8 @@ def block_swap_instance(blocks):
     return sm.smp_instance(men, women)
 
 
-def _gate(res, tag, vectors, **kwargs):
-    """Score check_median_theorem (given `kwargs`) on one set.
+def _gate(res, tag, vectors, rng_seed):
+    """Score check_median_theorem (seeded with `rng_seed`) on one set.
 
     Its gate must refuse exactly the sets not closed under meet and join,
     decided here from coordinatewise min and max rather than by
@@ -289,7 +289,7 @@ def _gate(res, tag, vectors, **kwargs):
         for a, b in combinations(vectors, 2)
     )
     try:
-        report = check_median_theorem(vectors, **kwargs)
+        report = check_median_theorem(vectors, rng_seed)
     except NotRegular:
         if regular:
             res.failures.append(f"{tag}: gate fired on a regular set")
@@ -316,7 +316,7 @@ def constrained_battery(rng, cfg):
         inst = block_swap_instance(blocks)
         # the middle layer of the cube is never closed under meet
         satisfying = [g for g in sm.all_stable_matchings(inst) if sum(g) % 4 == 2]
-        _gate(res, f"gadget blocks={blocks}", satisfying, k_max=cfg.k_max)
+        _gate(res, f"gadget blocks={blocks}", satisfying, cfg.seed)
     for _ in range(cfg.constrained_instances):
         n = rng.randint(cfg.smp_n_min, cfg.smp_n_max)
         inst = random_smp_instance(rng, n)
@@ -332,7 +332,7 @@ def constrained_battery(rng, cfg):
         stable = sm.all_stable_matchings(inst)
         for label, pred in predicates:
             _gate(res, f"{tag}: {label}", [g for g in stable if pred(g)],
-                  k_max=cfg.k_max, trials=20, rng_seed=rng.randrange(1 << 30))
+                  rng.randrange(1 << 30))
     return res
 
 
@@ -368,7 +368,7 @@ def regularity_gate_battery(rng, trials):
         vectors = sorted(raw)
         if t % 3 == 0:
             vectors = _close_under_ops(vectors)
-        _gate(res, vectors, vectors, trials=20, rng_seed=rng.randrange(1 << 30))
+        _gate(res, vectors, vectors, rng.randrange(1 << 30))
     return res
 
 
@@ -379,20 +379,19 @@ def chain_product_lattices(max_elements):
         for b in range(2, a + 1):
             if a * b <= max_elements:
                 vecs = list(product(range(a), range(b)))
-                out.append((f"chain-{a}x{b}", lattice_from_vectors(vecs)))
+                out.append((f"chain-{a}x{b}", explicit_lattice(vecs)))
     for a in range(2, max_elements // 4 + 1):
         for b in range(2, a + 1):
             for c in range(2, b + 1):
                 if a * b * c <= max_elements:
                     vecs = list(product(range(a), range(b), range(c)))
-                    out.append((f"chain-{a}x{b}x{c}", lattice_from_vectors(vecs)))
+                    out.append((f"chain-{a}x{b}x{c}", explicit_lattice(vecs)))
     return out
 
 
 def _ideal_lattice(elements, covers):
     poset = poset_from_covers(elements, covers)
-    cp = chain_partition(poset)
-    return lattice_from_vectors(all_ideals(poset, cp))
+    return explicit_lattice(all_ideals(poset, chain_partition(poset)))
 
 
 def fixed_lattices():
@@ -401,13 +400,13 @@ def fixed_lattices():
     return [
         ("ideals-of-n-poset", _ideal_lattice(
             ["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])),
-        ("boolean-cube-3", lattice_from_vectors(list(product((0, 1), repeat=3)))),
-        ("divisors-of-60", lattice_from_vectors(
+        ("boolean-cube-3", explicit_lattice(product((0, 1), repeat=3))),
+        ("divisors-of-60", explicit_lattice(
             [tuple(_multiplicity(d, p) for p in (2, 3, 5)) for d in divisors])),
         ("ideals-of-fence-5", _ideal_lattice(
             ["v", "w", "x", "y", "z"],
             [("v", "w"), ("x", "w"), ("x", "y"), ("z", "y")])),
-        ("boolean-cube-4", lattice_from_vectors(list(product((0, 1), repeat=4)))),
+        ("boolean-cube-4", explicit_lattice(product((0, 1), repeat=4))),
     ]
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from latmed.errors import EmptyInput, JOutOfRange, NotRegular, ShapeMismatch
 from latmed.lattice_median import (
     EXHAUSTIVE_BOUND,
+    THEOREM_K_MAX,
+    THEOREM_TRIALS,
     check_median_theorem,
     check_regular,
     checked_median,
@@ -136,10 +138,11 @@ def test_check_regular_reports_first_violation():
 
 def test_theorem_check_exhaustive_counts():
     cube = list(product((0, 1), repeat=2))
-    report = check_median_theorem(cube, k_max=3)
-    # C(4,1) + C(4,2) + C(4,3) subsets
-    assert report.subsets_checked == 4 + 6 + 4
-    assert report.passed
+    report = check_median_theorem(cube)
+    # every nonempty subset: C(4,1) + C(4,2) + C(4,3) + C(4,4)
+    assert THEOREM_K_MAX >= 4
+    assert report.subsets_checked == 4 + 6 + 4 + 1
+    assert report.violations == ()
 
 
 def test_theorem_check_gate():
@@ -149,17 +152,17 @@ def test_theorem_check_gate():
 
 def test_theorem_check_empty_set():
     report = check_median_theorem([])
-    assert report.subsets_checked == 0 and report.passed
+    assert report.subsets_checked == 0 and report.violations == ()
 
 
 def test_theorem_check_sampled_path_is_deterministic():
     grid = list(product(range(4), range(4)))
     assert len(grid) > EXHAUSTIVE_BOUND
-    a = check_median_theorem(grid, k_max=4, trials=50, rng_seed=7)
-    b = check_median_theorem(grid, k_max=4, trials=50, rng_seed=7)
+    a = check_median_theorem(grid, rng_seed=7)
+    b = check_median_theorem(grid, rng_seed=7)
     assert a == b
-    assert a.subsets_checked == 50
-    assert a.passed  # a full grid is closed, so no violations
+    assert a.subsets_checked == THEOREM_TRIALS == 20
+    assert a.violations == ()  # a full grid is closed, so no violations
 
 
 def test_invariant_failure_messages():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from latmed import order_core
 from latmed.errors import (
     CycleDetected,
+    EmptyInput,
     NotALattice,
     NotDistributive,
     OutOfBounds,
@@ -19,7 +20,6 @@ from latmed.errors import (
     UnknownLabel,
 )
 from latmed.order_core import (
-    ChainPartition,
     ExplicitLattice,
     all_ideals,
     birkhoff_round_trip,
@@ -28,7 +28,6 @@ from latmed.order_core import (
     format_vector,
     join,
     join_irreducibles,
-    lattice_from_vectors,
     meet,
     parse_vector,
     poset_from_covers,
@@ -36,6 +35,11 @@ from latmed.order_core import (
 from latmed.market_clearing import enumerate_clearing_vectors, market_instance
 from latmed.stable_matching import all_stable_matchings
 from latmed.verify import block_swap_instance
+
+
+def is_leq(poset, a, b):
+    idx = poset.index
+    return bool(poset.down[idx[b]] >> idx[a] & 1)
 
 
 def random_poset(rng, n, density=0.3, shuffled=False):
@@ -60,7 +64,7 @@ def brute_force_max_antichain(poset):
             break
         for sub in combinations(elems, r):
             if all(
-                not poset.leq(a, b) and not poset.leq(b, a)
+                not is_leq(poset, a, b) and not is_leq(poset, b, a)
                 for a, b in combinations(sub, 2)
             ):
                 best = r
@@ -75,33 +79,33 @@ def brute_force_ideals(poset):
     for r in range(len(elems) + 1):
         for sub in combinations(elems, r):
             s = set(sub)
-            if all(y in s for x in s for y in elems if poset.leq(y, x)):
+            if all(y in s for x in s for y in elems if is_leq(poset, y, x)):
                 out.append(s)
     return out
 
 
-def distributivity_failure(elements, meet_of, join_of):
+def distributivity_failure(elements, meet_fn, join_fn):
     # oracle: the first triple where meet fails to distribute over join
     for x in elements:
         for y in elements:
             for z in elements:
-                if meet_of(x, join_of(y, z)) != join_of(meet_of(x, y), meet_of(x, z)):
+                if meet_fn(x, join_fn(y, z)) != join_fn(meet_fn(x, y), meet_fn(x, z)):
                     return x, y, z
     return None
 
 
 def brute_force_lower_covers(lat, elements, x):
     # oracle: maximal members of `elements` strictly below x
-    below = [y for y in elements if y != x and lat.leq(y, x)]
-    return [y for y in below if not any(z != y and lat.leq(y, z) for z in below)]
+    below = [y for y in elements if y != x and is_leq(lat, y, x)]
+    return [y for y in below if not any(z != y and is_leq(lat, y, z) for z in below)]
 
 
 def hasse_by_leq(poset):
     # oracle: the cover pairs (x, y), read off leq alone
     els = poset.elements
     return {
-        (x, y) for x, y in permutations(els, 2) if poset.leq(x, y)
-        and not any(poset.leq(x, z) and poset.leq(z, y) for z in els if z not in (x, y))
+        (x, y) for x, y in permutations(els, 2) if is_leq(poset, x, y)
+        and not any(is_leq(poset, x, z) and is_leq(poset, z, y) for z in els if z not in (x, y))
     }
 
 
@@ -111,7 +115,7 @@ def check_irreducible_order(lat, jp):
     irr = jp.elements
     for x in irr:
         for y in irr:
-            assert jp.leq(x, y) == lat.leq(x, y)
+            assert is_leq(jp, x, y) == is_leq(lat, x, y)
     covers = {(x, y) for y in irr for x in brute_force_lower_covers(lat, irr, y)}
     assert hasse_by_leq(jp) == covers
     return covers
@@ -156,6 +160,40 @@ def random_closure_system(rng, m):
     return sorted(family)
 
 
+def indicator_vectors(masks, m):
+    # subsets of range(m) as 0/1 vectors: inclusion is the componentwise order
+    return [tuple(x >> k & 1 for k in range(m)) for x in masks]
+
+
+def closure_join(family):
+    def least_upper(a, b):
+        # least member containing both: the closure of the union
+        return min((f for f in family if subset(a | b, f)), key=int.bit_count)
+    return least_upper
+
+
+def check_distributivity_verdict(family, m):
+    # explicit_lattice on the indicator vectors of a closure system must
+    # refuse it exactly when the triple loop finds a failure; returns
+    # whether the system is distributive
+    distributive = distributivity_failure(family, int.__and__, closure_join(family)) is None
+    vectors = indicator_vectors(family, m)
+    if distributive:
+        explicit_lattice(vectors)
+    else:
+        with pytest.raises(NotDistributive):
+            explicit_lattice(vectors)
+    return distributive
+
+
+def down_set_masks(elements, pairs):
+    # each element's down-set as a mask over `elements`, given every pair
+    # a < b; a lattice's down-sets form a closure system
+    rel = set(pairs)
+    return [sum(1 << i for i, a in enumerate(elements) if a == b or (a, b) in rel)
+            for b in elements]
+
+
 def times_two_chain(elements, pairs):
     # product order with the chain 0 < 1
     leq = set(pairs) | {(x, x) for x in elements}
@@ -182,7 +220,7 @@ def test_vector_ops_basics():
     with pytest.raises(ShapeMismatch):
         meet((1, 0), (1, 0, 0))
     with pytest.raises(ShapeMismatch):
-        lattice_from_vectors([(0, 0), (1, 0), (1,)])
+        explicit_lattice([(0, 0), (1, 0), (1,)])
 
 
 @given(st.lists(st.integers(0, 30), min_size=0, max_size=6))
@@ -250,14 +288,14 @@ def test_poset_masks_match_dfs_reachability():
         p = poset_from_covers(labels, covers)
         for i in range(n):
             for j in range(n):
-                assert p.leq(labels[i], labels[j]) == (i == j or j in reach[i])
+                assert is_leq(p, labels[i], labels[j]) == (i == j or j in reach[i])
     assert min(verdicts.values()) > 50  # both verdicts are exercised
 
 
 def test_relation_is_transitive_closure():
     p = poset_from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert p.leq("a", "c") and p.leq("a", "a")
-    assert not p.leq("c", "a")
+    assert is_leq(p, "a", "c") and is_leq(p, "a", "a")
+    assert not is_leq(p, "c", "a")
 
 
 def test_chain_partition_is_minimum():
@@ -265,12 +303,12 @@ def test_chain_partition_is_minimum():
     for _ in range(60):
         p = random_poset(rng, rng.randint(1, 9))
         cp = chain_partition(p)
-        seen = [x for chain in cp.chains for x in chain]
+        seen = [x for chain in cp for x in chain]
         assert sorted(seen) == sorted(p.elements)  # a partition
-        for chain in cp.chains:
+        for chain in cp:
             for lo, hi in zip(chain, chain[1:]):
-                assert p.leq(lo, hi)
-        assert len(cp.chains) == brute_force_max_antichain(p)
+                assert is_leq(p, lo, hi)
+        assert len(cp) == brute_force_max_antichain(p)
 
 
 def test_all_ideals_matches_subset_filter():
@@ -279,7 +317,7 @@ def test_all_ideals_matches_subset_filter():
         p = random_poset(rng, rng.randint(1, 9), shuffled=True)
         cp = chain_partition(p)
         expected = sorted(
-            tuple(len(s & set(chain)) for chain in cp.chains)
+            tuple(len(s & set(chain)) for chain in cp)
             for s in brute_force_ideals(p)
         )
         assert all_ideals(p, cp) == expected
@@ -290,8 +328,7 @@ def test_all_ideals_of_a_long_chain():
     n = 1200
     labels = list(range(n))
     p = poset_from_covers(labels, list(zip(labels, labels[1:])))
-    cp = ChainPartition(chains=(tuple(labels),))
-    assert all_ideals(p, cp) == [(c,) for c in range(n + 1)]
+    assert all_ideals(p, (tuple(labels),)) == [(c,) for c in range(n + 1)]
 
 
 def test_all_ideals_size_guard():
@@ -337,7 +374,7 @@ def test_over_limit_enumerations_stop_early():
 def test_running_example_encoding():
     p = poset_from_covers(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])
     cp = chain_partition(p)
-    assert cp.chains == (("a", "b"), ("c", "d"))
+    assert cp == (("a", "b"), ("c", "d"))
     assert (2, 1) in all_ideals(p, cp)  # the ideal {a, b, c}
     assert len(all_ideals(p, cp)) == 8
 
@@ -361,49 +398,45 @@ def test_explicit_lattice_meets_joins_componentwise():
                             closed.add(c)
                             fresh.append(c)
             frontier = fresh
-        lat = lattice_from_vectors(sorted(closed))
+        lat = explicit_lattice(sorted(closed))
+        idx, down, up = lat.index, lat.down, lat.up
         for a in lat.elements:
             for b in lat.elements:
-                assert lat.meet_of(a, b) == meet(a, b)
-                assert lat.join_of(a, b) == join(a, b)
+                assert down[idx[meet(a, b)]] == down[idx[a]] & down[idx[b]]
+                assert up[idx[join(a, b)]] == up[idx[a]] & up[idx[b]]
 
 
 def test_explicit_lattice_rejects_non_lattice():
     # two incomparable elements with no common lower bound
     with pytest.raises(NotALattice):
-        explicit_lattice(["a", "b"], [])
+        explicit_lattice([(1, 0), (0, 1)])
+
+
+def test_explicit_lattice_refuses_empty_and_duplicate_input():
+    with pytest.raises(EmptyInput):
+        explicit_lattice([])
+    with pytest.raises(UnknownLabel):
+        explicit_lattice([(0,), (1,), (0,)])
 
 
 def test_explicit_lattice_rejects_diamond():
     for elements, pairs in (DIAMOND, times_two_chain(*DIAMOND)):
-        with pytest.raises(NotDistributive):
-            explicit_lattice(elements, pairs)
+        family = down_set_masks(elements, pairs)
+        assert not check_distributivity_verdict(family, len(elements))
 
 
 def test_explicit_lattice_rejects_pentagon():
     for elements, pairs in (PENTAGON, times_two_chain(*PENTAGON)):
-        with pytest.raises(NotDistributive):
-            explicit_lattice(elements, pairs)
+        family = down_set_masks(elements, pairs)
+        assert not check_distributivity_verdict(family, len(elements))
 
 
 def test_distributivity_matches_triple_loop_on_closure_systems():
     rng = random.Random(31)
     outcomes = {True: 0, False: 0}
     for _ in range(500):
-        family = random_closure_system(rng, rng.randint(2, 5))
-
-        def join_of(a, b):
-            # least member containing both: the closure of the union
-            return min((f for f in family if subset(a | b, f)), key=int.bit_count)
-
-        distributive = distributivity_failure(family, int.__and__, join_of) is None
-        outcomes[distributive] += 1
-        pairs = [(a, b) for a in family for b in family if subset(a, b)]
-        if distributive:
-            explicit_lattice(family, pairs)
-        else:
-            with pytest.raises(NotDistributive):
-                explicit_lattice(family, pairs)
+        m = rng.randint(2, 5)
+        outcomes[check_distributivity_verdict(random_closure_system(rng, m), m)] += 1
     assert min(outcomes.values()) > 100  # both verdicts are exercised
 
 
@@ -411,37 +444,32 @@ def test_join_irreducibles_match_lower_cover_filter():
     rng = random.Random(37)
     checked = 0
     while checked < 200:
-        family = random_closure_system(rng, rng.randint(2, 5))
-        pairs = [(a, b) for a in family for b in family if subset(a, b)]
+        m = rng.randint(2, 5)
+        family = random_closure_system(rng, m)
+        vectors = indicator_vectors(family, m)
         try:
-            lat = explicit_lattice(family, pairs)
+            lat = explicit_lattice(vectors)
         except NotDistributive:
             continue
         checked += 1
-        irr = [x for x in family if len(brute_force_lower_covers(lat, family, x)) == 1]
+        irr = [x for x in vectors if len(brute_force_lower_covers(lat, vectors, x)) == 1]
         jp = join_irreducibles(lat)
         assert jp.elements == tuple(irr)
         check_irreducible_order(lat, jp)
+        # lat.index is by vector, and family[i] is lattice element i
+        down, up = lat.down, lat.up
+        pos = {f: i for i, f in enumerate(family)}
         for i, a in enumerate(family):
-            for b in family[i:]:
-                assert lat.meet_of(a, b) == greatest_common_bound(family, a, b, subset)
-                assert lat.join_of(a, b) == greatest_common_bound(
-                    family, a, b, lambda x, y: subset(y, x))
-
-
-def test_explicit_lattice_rejects_intransitive_relation():
-    pairs = [("a", "b"), ("b", "c")]  # missing (a, c)
-    with pytest.raises(NotALattice):
-        explicit_lattice(["a", "b", "c"], pairs)
-
-
-def test_explicit_lattice_rejects_cycle():
-    with pytest.raises(CycleDetected):
-        explicit_lattice(["a", "b"], [("a", "b"), ("b", "a")])
+            for j in range(i, len(family)):
+                b = family[j]
+                lo = pos[greatest_common_bound(family, a, b, subset)]
+                hi = pos[greatest_common_bound(family, a, b, lambda x, y: subset(y, x))]
+                assert down[lo] == down[i] & down[j]
+                assert up[hi] == up[i] & up[j]
 
 
 def test_join_irreducibles_of_cube():
-    lat = lattice_from_vectors(list(product((0, 1), repeat=3)))
+    lat = explicit_lattice(product((0, 1), repeat=3))
     jp = join_irreducibles(lat)
     # exactly the three atoms, pairwise incomparable
     assert sorted(jp.elements) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -449,7 +477,7 @@ def test_join_irreducibles_of_cube():
 
 
 def test_join_irreducibles_of_chain():
-    lat = lattice_from_vectors([(i,) for i in range(5)])
+    lat = explicit_lattice([(i,) for i in range(5)])
     jp = join_irreducibles(lat)
     assert list(jp.elements) == [(1,), (2,), (3,), (4,)]
     assert check_irreducible_order(lat, jp) == {((i,), (i + 1,)) for i in range(1, 4)}
@@ -461,7 +489,7 @@ def test_birkhoff_round_trip_small():
         list(product((0, 1), repeat=4)),
         [(i,) for i in range(6)],
     ]:
-        lat = lattice_from_vectors(vecs)
+        lat = explicit_lattice(vecs)
         jp, mapping = birkhoff_round_trip(lat)
         assert len(mapping) == len(lat.elements)
         # ideals of J(L) are in bijection with L
@@ -471,7 +499,7 @@ def test_birkhoff_round_trip_small():
 def test_birkhoff_round_trip_running_example():
     p = poset_from_covers(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])
     cp = chain_partition(p)
-    lat = lattice_from_vectors(all_ideals(p, cp))
+    lat = explicit_lattice(all_ideals(p, cp))
     jp, _ = birkhoff_round_trip(lat)
     assert len(jp.elements) == 4  # recovers a four-element generator poset
 
