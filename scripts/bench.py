@@ -12,8 +12,11 @@ pairs, the change first in odd ones), each for the file's `run_seconds`,
 one process at a time. The output records
 the environment, every run's end-to-end metrics, each side's median and
 quartiles, how many pairs each metric improved in, the change's Tier-1
-wall time, and fixed-size layer timings of both sides (median of 5 with
-min and max). Standard library only; Tier-1 does not run it.
+wall time, and fixed-size layer timings of both sides. Each layer's timing
+is the median of 5 repeats in one process; the layer script runs in 5
+processes per side, alternating which side goes first, and the report
+gives per layer the median of the per-process medians with their minimum
+and maximum. Standard library only; Tier-1 does not run it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 PAIRS = 10  # the fewest pairs in which a claimed gain can win 9 of 10
+LAYER_PROCESSES = 5  # layer-script runs per side
 
 # timed in a fresh interpreter against one side's src/
 LAYERS = r"""
@@ -47,8 +51,7 @@ def timed(size, fn, repeats=5):
         start = perf_counter()
         fn()
         times.append((perf_counter() - start) * 1000)
-    return {"size": size, "median_ms": statistics.median(times),
-            "min_ms": min(times), "max_ms": max(times)}
+    return {"size": size, "median_ms": statistics.median(times)}
 
 cfg = VerifyConfig()
 rng = random.Random(int(sys.argv[1]))
@@ -133,11 +136,29 @@ def compare(runs, end_to_end):
     return out
 
 
-def layer_timings(root, seed):
+def layer_run(root, seed):
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run([sys.executable, "-c", LAYERS, str(seed)], cwd=root, env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def layer_timings(roots, seed):
+    """Per side and layer: median, minimum and maximum of the per-process medians."""
+    runs = {side: [] for side in roots}
+    for i in range(LAYER_PROCESSES):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(layer_run(roots[side], seed))
+    out = {}
+    for side, results in runs.items():
+        out[side] = {}
+        for name, first in results[0].items():
+            medians = [r[name]["median_ms"] for r in results]
+            out[side][name] = {"size": first["size"], "median_ms": statistics.median(medians),
+                               "min_ms": min(medians), "max_ms": max(medians),
+                               "processes": len(medians)}
+    return out
 
 
 def tier1(root):
@@ -176,7 +197,7 @@ def main(argv=None):
         report["workloads"][workload] = {
             "runs": runs, "summary": compare(runs, bench["end_to_end"])}
     print("layer timings and Tier-1", file=sys.stderr)
-    report["layers"] = {side: layer_timings(root, args.seed) for side, root in roots.items()}
+    report["layers"] = layer_timings(roots, args.seed)
     report["tier1_change"] = tier1(ROOT)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
 

@@ -13,7 +13,6 @@ matchings is kept in the tests as the oracle.
 
 from .errors import LatmedError
 from .lattice_median import (
-    PredicateReport,
     check_median_theorem,
     check_regular,
     generalized_medians,
@@ -39,7 +38,6 @@ __all__ = [
     "ExplicitLattice",
     "LatmedError",
     "Poset",
-    "PredicateReport",
     "VerifyConfig",
     "all_ideals",
     "birkhoff_round_trip",

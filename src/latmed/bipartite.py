@@ -17,18 +17,15 @@ def max_matching(n_left: int, n_right: int, adj: Sequence[Sequence[int]], start=
 
     Returns (match_l, match_r): match_l[u] is the right partner of u or -1,
     match_r[v] the left partner of v or -1. `start`, when given, is such a
-    pair for a matching that uses only edges of `adj`; it is copied and
-    extended by augmenting paths from its unmatched left vertices, in index
-    order. Vertices matched in `start` stay matched.
+    pair for a matching that uses only edges of `adj`, and a missing one is
+    the empty matching. It is copied and extended by augmenting paths from
+    its unmatched left vertices, in index order. Vertices matched in
+    `start` stay matched.
     """
-    if start is None:
-        match_l = [-1] * n_left
-        match_r = [-1] * n_right
-        roots = range(n_left)
-    else:
-        match_l, match_r = list(start[0]), list(start[1])
-        roots = [u for u in range(n_left) if match_l[u] == -1]
-    for root in roots:
+    match_l, match_r = ([-1] * n_left, [-1] * n_right) if start is None else map(list, start)
+    for root in range(n_left):
+        if match_l[root] != -1:
+            continue  # an augmenting path newly matches only its root
         # depth-first search for an augmenting path from root, visiting
         # vertices in the order of the recursive formulation; lefts is the
         # path so far and edges[d] the unscanned adjacency of lefts[d]

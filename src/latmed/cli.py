@@ -74,10 +74,10 @@ def cmd_lattice_medians(ns):
 
 def cmd_lattice_check_regular(ns):
     vectors = _read_vectors(ns.vectors)
-    report = check_regular(vectors)
-    if report.regular:
+    violation = check_regular(vectors)
+    if violation is None:
         return _vectors_text(vectors), ["regular"], []
-    x, y, op = report.counterexample
+    x, y, op = violation
     line = f"violation: {format_vector(x)} {format_vector(y)} {op}"
     return _vectors_text(vectors), [], [line]
 
@@ -175,7 +175,7 @@ def cmd_repro_paper_example(ns):
 
 
 def cmd_repro_verify(ns):
-    cfg = VerifyConfig.scaled(ns.seed, ns.instances, ns.trials, ns.max_n)
+    cfg = VerifyConfig(ns.seed, ns.instances, ns.trials, ns.max_n)
     outcomes = verify_suite(cfg)
     if not outcomes:
         return repr(cfg), [], []

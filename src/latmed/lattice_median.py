@@ -14,23 +14,12 @@ from dataclasses import dataclass
 from itertools import combinations, zip_longest
 from operator import le
 
-from .errors import EmptyInput, JOutOfRange, NotRegular, ShapeMismatch
-from .order_core import format_vector, join, meet
+from .errors import JOutOfRange, NotRegular
+from .order_core import format_vector, join, meet, vector_family
 
 EXHAUSTIVE_BOUND = 12
 THEOREM_K_MAX = 5
 THEOREM_TRIALS = 20
-
-
-def _validated(vectors):
-    vs = [tuple(v) for v in vectors]
-    if not vs:
-        raise EmptyInput("need at least one vector")
-    d = len(vs[0])
-    for v in vs[1:]:
-        if len(v) != d:
-            raise ShapeMismatch(f"vector lengths differ: {d} vs {len(v)}")
-    return vs
 
 
 def generalized_medians(vectors):
@@ -41,7 +30,7 @@ def generalized_medians(vectors):
     a multiset. The first output is the meet of all inputs, the last their
     join, and the outputs form a chain.
     """
-    vs = _validated(vectors)
+    vs = vector_family(vectors)
     if not vs[0]:
         return [()] * len(vs)
     return list(zip(*map(sorted, zip(*vs))))
@@ -55,7 +44,7 @@ def medians_via_meet_join(vectors):
     (min, max) in every coordinate and a sorting network sorts any input,
     so the one pass sorts every coordinate at once.
     """
-    work = _validated(vectors)
+    work = vector_family(vectors)
     for t in range(1, len(work)):
         for i in range(t - 1, -1, -1):
             x, y = work[i], work[i + 1]
@@ -83,20 +72,12 @@ def median_invariant_failures(inputs, medians):
     return failures
 
 
-@dataclass(frozen=True)
-class PredicateReport:
-    """Outcome of a closure check: a sublattice, or a witness that it is not."""
-
-    regular: bool
-    counterexample: tuple | None = None  # (x, y, "meet" | "join")
-
-
 def check_regular(elements):
-    """Is the given set closed under pairwise meet and join?
+    """The first pair whose meet or join leaves the set, or None if closed.
 
-    When `elements` is the complete satisfying set of a predicate, this
-    decides whether the predicate is regular. Pairs are scanned in input
-    order and the first violation is reported.
+    A violation is returned as (x, y, "meet" | "join"). When `elements` is
+    the complete satisfying set of a predicate, None decides that the
+    predicate is regular. Pairs are scanned in input order.
     """
     vs = [tuple(v) for v in elements]
     members = set(vs)
@@ -104,8 +85,8 @@ def check_regular(elements):
         for j in range(i + 1, len(vs)):
             for op, fn in (("meet", meet), ("join", join)):
                 if fn(vs[i], vs[j]) not in members:
-                    return PredicateReport(False, (vs[i], vs[j], op))
-    return PredicateReport(True)
+                    return vs[i], vs[j], op
+    return None
 
 
 @dataclass(frozen=True)
@@ -124,9 +105,9 @@ def check_median_theorem(satisfying, rng_seed=42):
     generator seeded with rng_seed.
     """
     vs = [tuple(v) for v in satisfying]
-    report = check_regular(vs)
-    if not report.regular:
-        x, y, op = report.counterexample
+    violation = check_regular(vs)
+    if violation is not None:
+        x, y, op = violation
         raise NotRegular(
             f"set not closed under {op} of {format_vector(x)} and {format_vector(y)}"
         )

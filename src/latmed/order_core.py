@@ -59,6 +59,16 @@ def _check_shape(u, v):
         raise ShapeMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
 
 
+def vector_family(vectors):
+    """The vectors as a list of tuples; refused if empty or of mixed length."""
+    vs = [tuple(v) for v in vectors]
+    if not vs:
+        raise EmptyInput("need at least one vector")
+    for v in vs[1:]:
+        _check_shape(vs[0], v)
+    return vs
+
+
 def format_vector(v) -> str:
     return "(" + ",".join(map(str, v)) + ")"
 
@@ -268,13 +278,9 @@ def explicit_lattice(vectors) -> ExplicitLattice:
     lattice is distributive. Any finite lattice can be given this way, as
     the 0/1 indicator vectors of its elements' down-sets.
     """
-    vectors = tuple(map(tuple, vectors))
-    if not vectors:
-        raise EmptyInput("a lattice needs at least one element")
-    for v in vectors[1:]:
-        _check_shape(vectors[0], v)
+    vectors = tuple(vector_family(vectors))
     if len(set(vectors)) != len(vectors):
-        raise UnknownLabel("duplicate vectors")
+        raise NotALattice("duplicate vectors in the element list")
     down = [0] * len(vectors)
     for (i, u), (j, v) in product(enumerate(vectors), repeat=2):
         if all(map(le, u, v)):

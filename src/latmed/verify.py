@@ -9,7 +9,7 @@ string attached.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import market_clearing as mc
@@ -39,54 +39,58 @@ WORKED_MEDIANS = ((0, 0), (0, 1), (1, 2))
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """Battery sizes of `repro verify`, derived from its four flags.
+
+    `None` keeps the default. `instances` replaces the stable-matching
+    instance count and scales the other batteries' counts by the same
+    factor (at least 1 each); `trials` is the median subsets per instance;
+    `max_n` caps instance sizes, and can only lower the defaults. The repr
+    (the digest source) and equality read the seed and the sizes only.
+    """
+
     seed: int = 42
-    smp_instances: int = 200
-    smp_n_min: int = 3
-    smp_n_max: int = 7
-    subsets_per_instance: int = 20
-    k_min: int = 2
-    k_max: int = 5
-    closure_pairs: int = 10
-    median_families: int = 1000
-    family_k_max: int = 8
-    family_dim_max: int = 10
-    family_coord_max: int = 10
-    market_instances: int = 100
-    market_n_min: int = 2
-    market_n_max: int = 4
-    market_max_valuation: int = 4
-    market_subsets: int = 10
-    constrained_instances: int = 50
-    gate_trials: int = 200
-    birkhoff_max_elements: int = 50
+    instances: int | None = field(default=None, repr=False, compare=False)
+    trials: int | None = field(default=None, repr=False, compare=False)
+    max_n: int | None = field(default=None, repr=False, compare=False)
+    smp_instances: int = field(default=200, init=False)
+    smp_n_min: int = field(default=3, init=False)
+    smp_n_max: int = field(default=7, init=False)
+    subsets_per_instance: int = field(default=20, init=False)
+    k_min: int = field(default=2, init=False)
+    k_max: int = field(default=5, init=False)
+    closure_pairs: int = field(default=10, init=False)
+    median_families: int = field(default=1000, init=False)
+    family_k_max: int = field(default=8, init=False)
+    family_dim_max: int = field(default=10, init=False)
+    family_coord_max: int = field(default=10, init=False)
+    market_instances: int = field(default=100, init=False)
+    market_n_min: int = field(default=2, init=False)
+    market_n_max: int = field(default=4, init=False)
+    market_max_valuation: int = field(default=4, init=False)
+    market_subsets: int = field(default=10, init=False)
+    constrained_instances: int = field(default=50, init=False)
+    gate_trials: int = field(default=200, init=False)
+    birkhoff_max_elements: int = field(default=50, init=False)
 
-    @classmethod
-    def scaled(cls, seed, instances=None, trials=None, max_n=None):
-        """The default config, adjusted by the `repro verify` flags.
+    def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)  # the class is frozen
 
-        `instances` replaces the stable-matching instance count and scales
-        the other batteries' counts by the same factor (at least 1 each);
-        `trials` is the median subsets per instance; `max_n` caps instance
-        sizes, and can only lower the defaults.
-        """
-        base = cls(seed=seed)
-        changes = {}
-        if trials is not None:
-            if trials < 0:
-                raise OutOfBounds(f"trials must be nonnegative, got {trials}")
-            changes["subsets_per_instance"] = trials
-        if instances is not None:
-            if instances < 0:
-                raise OutOfBounds(f"instances must be nonnegative, got {instances}")
-            scale = instances / base.smp_instances
-            changes["smp_instances"] = instances
+        if self.trials is not None:
+            if self.trials < 0:
+                raise OutOfBounds(f"trials must be nonnegative, got {self.trials}")
+            put("subsets_per_instance", self.trials)
+        if self.instances is not None:
+            if self.instances < 0:
+                raise OutOfBounds(f"instances must be nonnegative, got {self.instances}")
+            scale = self.instances / self.smp_instances
+            put("smp_instances", self.instances)
             for name in ("market_instances", "constrained_instances",
                          "median_families", "gate_trials"):
-                changes[name] = max(1, round(getattr(base, name) * scale))
-        if max_n is not None:
-            changes["smp_n_max"] = max(base.smp_n_min, min(max_n, base.smp_n_max))
-            changes["market_n_max"] = max(base.market_n_min, min(max_n, base.market_n_max))
-        return replace(base, **changes)
+                put(name, max(1, round(getattr(self, name) * scale)))
+        if self.max_n is not None:
+            put("smp_n_max", max(self.smp_n_min, min(self.max_n, self.smp_n_max)))
+            put("market_n_max", max(self.market_n_min, min(self.max_n, self.market_n_max)))
 
 
 @dataclass

@@ -419,7 +419,7 @@ def test_enumeration_does_not_share_the_demand_sets(monkeypatch):
         return pay, best, items[:1]
 
     monkeypatch.setattr(market_clearing, "_row_demand", first_best_only)
-    rows = market_battery(random.Random(3), VerifyConfig(market_instances=100),
+    rows = market_battery(random.Random(3), VerifyConfig(),
                           PropertyResult("median-invariants"))
     medians = next(r for r in rows if r.name == "market-median-clearing")
     assert medians.failures

@@ -415,7 +415,7 @@ def test_explicit_lattice_rejects_non_lattice():
 def test_explicit_lattice_refuses_empty_and_duplicate_input():
     with pytest.raises(EmptyInput):
         explicit_lattice([])
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(NotALattice, match="duplicate vectors"):
         explicit_lattice([(0,), (1,), (0,)])
 
 

@@ -1,7 +1,7 @@
 """The verification battery itself: shape, determinism, gating."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields
 
 import pytest
 
@@ -18,10 +18,15 @@ from latmed.verify import (
     verify_suite,
 )
 
-SMALL = VerifyConfig(
-    smp_instances=6, subsets_per_instance=3, closure_pairs=3,
-    median_families=20, market_instances=4, market_subsets=3,
-    constrained_instances=4, gate_trials=30, birkhoff_max_elements=12,
+SMALL = VerifyConfig(instances=30, trials=3)
+
+DEFAULT_REPR = (
+    "VerifyConfig(seed=42, smp_instances=200, smp_n_min=3, smp_n_max=7, "
+    "subsets_per_instance=20, k_min=2, k_max=5, closure_pairs=10, "
+    "median_families=1000, family_k_max=8, family_dim_max=10, "
+    "family_coord_max=10, market_instances=100, market_n_min=2, "
+    "market_n_max=4, market_max_valuation=4, market_subsets=10, "
+    "constrained_instances=50, gate_trials=200, birkhoff_max_elements=50)"
 )
 
 
@@ -41,18 +46,29 @@ def test_suite_is_deterministic():
 
 
 def test_zero_subsets_is_empty():
-    assert verify_suite(VerifyConfig(subsets_per_instance=0)) == []
+    assert verify_suite(VerifyConfig(trials=0)) == []
 
 
 def test_scaled_config():
-    assert VerifyConfig.scaled(7) == VerifyConfig(seed=7)
-    cfg = VerifyConfig.scaled(7, instances=20, trials=4, max_n=99)
+    assert VerifyConfig(7) == VerifyConfig(seed=7, instances=200, trials=20)
+    cfg = VerifyConfig(7, instances=20, trials=4, max_n=99)
     assert (cfg.smp_instances, cfg.market_instances, cfg.constrained_instances,
             cfg.median_families, cfg.gate_trials) == (20, 10, 5, 100, 20)
     assert cfg.subsets_per_instance == 4
     assert (cfg.smp_n_max, cfg.market_n_max) == (7, 4)  # max_n only lowers sizes
-    tiny = VerifyConfig.scaled(7, instances=1, max_n=1)
+    tiny = VerifyConfig(7, instances=1, max_n=1)
     assert (tiny.market_instances, tiny.smp_n_max, tiny.market_n_max) == (1, 3, 2)
+
+
+def test_config_sizes_are_not_settable():
+    # only the four flags reach the constructor; the repr, which the
+    # digest of `repro verify` hashes, lists the seed and the sizes alone
+    with pytest.raises(TypeError):
+        VerifyConfig(closure_pairs=3)
+    assert [f.name for f in fields(VerifyConfig) if f.init] == [
+        "seed", "instances", "trials", "max_n"]
+    assert repr(VerifyConfig()) == DEFAULT_REPR
+    assert repr(VerifyConfig(instances=200, trials=20, max_n=9)) == DEFAULT_REPR
 
 
 def test_worked_example_battery():
@@ -68,7 +84,7 @@ def test_gate_battery_exercises_both_paths():
 
 def test_gate_battery_catches_a_gate_that_refuses_everything(monkeypatch):
     def refuse_all(elements):
-        return lattice_median.PredicateReport(False, ((0,), (0,), "meet"))
+        return (0,), (0,), "meet"
 
     monkeypatch.setattr(lattice_median, "check_regular", refuse_all)
     r = regularity_gate_battery(random.Random(3), trials=60)
@@ -100,7 +116,7 @@ def test_proposal_extremes_catch_a_wrong_proposal_side(monkeypatch, swapped):
         return real(inst, proposing_side)
 
     monkeypatch.setattr(stable_matching, "gale_shapley", other_side)
-    rows = smp_battery(random.Random(5), replace(SMALL, smp_instances=40),
+    rows = smp_battery(random.Random(5), VerifyConfig(instances=40, trials=3),
                        PropertyResult("median-invariants"))
     failures = next(r for r in rows if r.name == "smp-proposal-extremes").failures
     assert any("walk from the women's side" in f for f in failures) == ("men" in swapped)
