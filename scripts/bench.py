@@ -16,7 +16,9 @@ wall time, and fixed-size layer timings of both sides. Each layer's timing
 is the median of 5 repeats in one process; the layer script runs in 5
 processes per side, alternating which side goes first, and the report
 gives per layer the median of the per-process medians with their minimum
-and maximum. Standard library only; Tier-1 does not run it.
+and maximum, and whether the two sides' min-max ranges overlap. Host drift
+moves whole ranges, so a layer comparison is readable only where they do
+not overlap. Standard library only; Tier-1 does not run it.
 """
 
 from __future__ import annotations
@@ -144,7 +146,9 @@ def layer_run(root, seed):
 
 
 def layer_timings(roots, seed):
-    """Per side and layer: median, minimum and maximum of the per-process medians."""
+    """Per side and layer: median, minimum and maximum of the per-process
+    medians; per layer under "ranges_overlap": whether the two sides'
+    min-max ranges overlap."""
     runs = {side: [] for side in roots}
     for i in range(LAYER_PROCESSES):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -158,6 +162,10 @@ def layer_timings(roots, seed):
             out[side][name] = {"size": first["size"], "median_ms": statistics.median(medians),
                                "min_ms": min(medians), "max_ms": max(medians),
                                "processes": len(medians)}
+    out["ranges_overlap"] = {
+        name: parent["min_ms"] <= out["change"][name]["max_ms"]
+        and out["change"][name]["min_ms"] <= parent["max_ms"]
+        for name, parent in out["parent"].items()}
     return out
 
 

@@ -17,6 +17,7 @@ these difference constraints, without building a demand graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import add, sub
 
 from . import bipartite
@@ -29,8 +30,6 @@ from .errors import (
 )
 from .lattice_median import checked_median
 from .order_core import check_enum_limit
-
-_NO_PAYOFF = float("-inf")  # below every payoff
 
 
 @dataclass(frozen=True)
@@ -106,25 +105,16 @@ def _check_prices(inst, prices):
 
 
 def _row_demand(row, prices):
-    """One buyer's payoffs at these prices, the best payoff, and the items
-    that reach it, in ascending order."""
+    """The items that give one buyer its best payoff, in ascending order."""
     pay = list(map(sub, row, prices))
     best = max(pay)
     if pay.count(best) == 1:
-        return pay, best, [pay.index(best)]
-    return pay, best, [j for j, x in enumerate(pay) if x == best]
-
-
-def _rescan(row, prices):
-    """One buyer's best payoff, demand list, and best payoff outside it."""
-    pay, best, items = _row_demand(row, prices)
-    for j in items:
-        pay[j] = _NO_PAYOFF
-    return best, items, max(pay)
+        return [pay.index(best)]
+    return [j for j, x in enumerate(pay) if x == best]
 
 
 def _demands(inst, prices):
-    return [_row_demand(row, prices)[2] for row in inst.valuations]
+    return [_row_demand(row, prices) for row in inst.valuations]
 
 
 def is_market_clearing(inst, prices):
@@ -146,57 +136,57 @@ def clearing_matching(inst, prices):
 def min_clearing_prices(inst):
     """Componentwise minimum clearing price vector, by ascending auction.
 
-    While some buyer is unmatched, take the set R of items reachable from
-    unmatched buyers by alternating paths in the demand graph; R is
-    overdemanded, and each price in R rises by one. The running vector
-    never exceeds any clearing vector in any coordinate, so the result is
-    the minimum. The minimum has a zero price: buyers have no outside
-    option, so lowering every price by one keeps every demand set.
+    While some buyer is unmatched, take the buyers S and items R reachable
+    from unmatched buyers by alternating paths in the demand graph. R is
+    overdemanded: every buyer in S demands only items in R. Each price in
+    R rises by the least gap over S, a buyer's gap being its best payoff
+    minus its best payoff outside R. This is the unit-step ascending
+    auction (Demange, Gale and Sotomayor 1986) with each run of rounds that
+    find the same R merged into one, as no demand list gains an item below
+    the gap. The running vector never exceeds any clearing vector in any
+    coordinate, so the result is the minimum, which has a zero price:
+    buyers have no outside option, so lowering every price by one keeps
+    every demand set.
 
-    Rounds are incremental. Each buyer keeps its best payoff, its demand
-    list and an upper bound on its payoffs outside the list. After a raise,
-    a buyer whose list has items outside R drops the items in R; a buyer
-    whose whole list lies in R loses 1 from its best payoff, and rescans
-    its row only when the bound outside its list could reach the new best.
-    The matching is carried over and extended, since a matched edge stays
-    demanded: a buyer matched outside R keeps an item whose price did not
-    rise, and a buyer matched into R is itself reachable, so its whole list
-    rose together. R does not depend on which maximum matching the
-    auction holds (it is the neighbourhood of the buyers that some maximum
-    matching leaves unmatched, by Gallai-Edmonds), so the rounds and
-    prices are those of rebuilding demands and matching from scratch.
+    Rounds are incremental. After a raise, a buyer outside S drops the
+    items in R, keeping its matched item; a buyer in S whose gap was the
+    step adds the items outside R that now tie. The matching is carried
+    over and extended, since a matched edge stays demanded. R does not
+    depend on which maximum matching the auction holds (it is the
+    neighbourhood of the buyers that some maximum matching leaves
+    unmatched, by Gallai-Edmonds), so the prices are those of rebuilding
+    demands and matching from scratch. Each round lets the matching grow
+    or adds a tied item to R, so at most n * (n + 1) + 1 rounds run,
+    whatever the valuations.
     """
-    n = inst.n
+    n, vals = inst.n, inst.valuations
     p = [0] * n
-    best, demands, outside = [], [], []
-    for row in inst.valuations:
-        b, items, o = _rescan(row, p)
-        best.append(b)
-        demands.append(items)
-        outside.append(o)
-    # each round raises at least one price and no price passes the minimum
-    # clearing vector, which is capped by the largest valuation
-    max_rounds = n * (inst.price_cap + max(max(r) for r in inst.valuations) + 2) + 8
+    demands = _demands(inst, p)
     matching = None
-    for _ in range(max_rounds):
+    for _ in range(n * (n + 1) + 1):
         matching = bipartite.max_matching(n, n, demands, matching)
         match_l, match_r = matching
         if -1 not in match_l:
             break
-        _, raised = bipartite.alternating_reachable(n, demands, match_l, match_r)
+        reached, raised = bipartite.alternating_reachable(n, demands, match_l, match_r)
+        outside = [j not in raised for j in range(n)]
+        p_outside = list(compress(p, outside))
+        gaps = {}
+        for u in reached:
+            row, j = vals[u], demands[u][0]
+            gaps[u] = row[j] - p[j] - max(map(sub, compress(row, outside), p_outside))
+        step = min(gaps.values())
         for j in raised:
-            p[j] += 1
+            p[j] += step
         for u, items in enumerate(demands):
-            if raised.isdisjoint(items):
-                continue
-            kept = [j for j in items if j not in raised]
-            if kept:
-                demands[u] = kept
-                outside[u] = best[u] - 1
-            elif outside[u] < best[u] - 1:
-                best[u] -= 1
-            else:
-                best[u], demands[u], outside[u] = _rescan(inst.valuations[u], p)
+            if u not in gaps:
+                if not raised.isdisjoint(items):
+                    demands[u] = [j for j in items if j not in raised]
+            elif gaps[u] == step:
+                row, j = vals[u], items[0]
+                top = row[j] - p[j]
+                demands[u] = sorted(items + [k for k in compress(range(n), outside)
+                                             if row[k] - p[k] == top])
     else:
         raise AssertionError(f"auction failed to terminate on {inst}")
     if max(p) > inst.price_cap:

@@ -52,9 +52,11 @@ def test_smp_enumerate_and_median(capsys, tmp_path):
 def test_smp_verify_exit_codes(capsys):
     report, out = run(capsys, "smp", "verify", SMP3, "--matching", "(0,0,0)")
     assert report.exit_code == 0 and out.strip() == "stable"
-    report, out = run(capsys, "smp", "verify", SMP3, "--matching", "(1,0,0)")
+    report, out = run(capsys, "smp", "verify", SMP3, "--matching", "(0,2,1)")
     assert report.exit_code == 1
-    assert "blocking:" in out or "not-a-matching" in out
+    assert out == "blocking: (1,0)\nblocking: (1,1)\nblocking: (2,2)\n"
+    report, out = run(capsys, "smp", "verify", SMP3, "--matching", "(1,0,0)")
+    assert report.exit_code == 1 and out == "not-a-matching\n"
 
 
 def test_market_commands(capsys):

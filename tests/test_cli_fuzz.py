@@ -2,8 +2,8 @@
 
 Input files are drawn near the accepted formats (bad headers, wrong row
 lengths, negative or out-of-range entries, price caps up to 10^6) and as
-raw bytes. Valuations stay at or below 50, since the auction takes one
-round per unit of price.
+raw bytes. Valuations are drawn small, so that ties are common, and up to
+10^12, since the auction's rounds do not grow with the valuations.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from latmed.cli import dispatch
 
 ENTRY = st.integers(-2, 7)
+VALUATION = st.one_of(st.integers(0, 50), st.integers(0, 10**12))
 FAULTS = st.sampled_from([None, None, None, "header", "row", "drop"])  # mostly well formed
 
 
@@ -50,11 +51,11 @@ def market_text(draw):
     cap = draw(st.one_of(st.just(""), st.integers(-3, 12).map(str),
                          st.integers(0, 10**6).map(str)))
     lines = [f"market {n} {cap}"]
-    lines += [f"buyer {i}: " + " ".join(map(str, draw(st.lists(st.integers(0, 50),
+    lines += [f"buyer {i}: " + " ".join(map(str, draw(st.lists(VALUATION,
                                                                  min_size=n, max_size=n))))
               for i in range(n)]
     headers = [f"market {n + 1} {cap}", "market", f"market {n} x", f"market {n} -1"]
-    return perturbed(draw, lines, headers, st.integers(-1, 50), n)
+    return perturbed(draw, lines, headers, st.one_of(st.integers(-1, 50), VALUATION), n)
 
 
 def vector(entries):

@@ -67,6 +67,8 @@ def test_parse_rejects_malformed():
         parse_market("market 2\nbuyer 0: 1\nbuyer 1: 1 2")
     with pytest.raises(MalformedFile):
         parse_market("market 1\nbuyer 0: x")
+    with pytest.raises(MalformedFile, match="instance size must be positive"):
+        parse_market("market 0")
 
 
 def test_demand_graph_argmax_semantics():
@@ -206,8 +208,9 @@ def test_auction_result_always_clears(seed):
 def argmax_demands(inst, prices):
     demands = []
     for row in inst.valuations:
-        best = max(v - p for v, p in zip(row, prices))
-        demands.append([j for j, (v, p) in enumerate(zip(row, prices)) if v - p == best])
+        pay = [v - p for v, p in zip(row, prices)]
+        best = max(pay)
+        demands.append([j for j, x in enumerate(pay) if x == best])
     return demands
 
 
@@ -235,6 +238,30 @@ def rebuilding_auction(inst):
     return tuple(p), rounds
 
 
+def exact_step_auction(inst):
+    # oracle: the auction that raises R by the least gap over the reached
+    # buyers, rebuilding every demand set and running a cold matching each
+    # round, with each gap taken from full row scans
+    n = inst.n
+    p = [0] * n
+    rounds = []
+    for _ in range(n * (n + 1) + 1):
+        demands = argmax_demands(inst, p)
+        rounds.append(demands)
+        match_l, match_r = bipartite.max_matching(n, n, demands)
+        if -1 not in match_l:
+            break
+        seen_l, seen_r = bipartite.alternating_reachable(n, demands, match_l, match_r)
+        pays = [list(map(sub, inst.valuations[u], p)) for u in seen_l]
+        step = min(max(pay) - max(x for j, x in enumerate(pay) if j not in seen_r)
+                   for pay in pays)
+        for j in seen_r:
+            p[j] += step
+    else:
+        raise AssertionError(f"auction failed to terminate on {inst}")
+    return tuple(p), rounds
+
+
 def auction_rounds(monkeypatch, inst):
     # the incremental auction's prices and the demand lists it hands the
     # matcher, one entry per round
@@ -252,16 +279,25 @@ def auction_rounds(monkeypatch, inst):
         monkeypatch.undo()
 
 
+def check_against_oracles(monkeypatch, inst):
+    # prices equal the unit-step auction's; rounds equal the exact-step
+    # oracle's, and are the unit-step rounds that end a run of equal raises
+    want, unit_rounds = rebuilding_auction(inst)
+    got, got_rounds = auction_rounds(monkeypatch, inst)
+    assert got == want, serialize_market(inst)
+    assert (got, got_rounds) == exact_step_auction(inst), serialize_market(inst)
+    unit = iter(unit_rounds)
+    assert all(r in unit for r in got_rounds), serialize_market(inst)
+    assert got_rounds[-1] == unit_rounds[-1]
+    return got_rounds
+
+
 def test_incremental_auction_matches_rebuilding_oracle(monkeypatch):
     rng = random.Random(53)
     multi_round = 0
     for _ in range(3000):
         inst = random_market_instance(rng, rng.randint(1, 7), 9)
-        want, want_rounds = rebuilding_auction(inst)
-        got, got_rounds = auction_rounds(monkeypatch, inst)
-        assert got == want, serialize_market(inst)
-        assert got_rounds == want_rounds, serialize_market(inst)
-        multi_round += len(want_rounds) > 2
+        multi_round += len(check_against_oracles(monkeypatch, inst)) > 2
     assert multi_round > 1000
 
 
@@ -269,11 +305,15 @@ def test_incremental_auction_matches_oracle_on_large_markets(monkeypatch):
     rng = random.Random(59)
     for n in (50, 75, 100, 125, 150):
         for top in (n, 3 * n, 10 * n):
-            inst = random_market_instance(rng, n, top - 1)
-            want, want_rounds = rebuilding_auction(inst)
-            got, got_rounds = auction_rounds(monkeypatch, inst)
-            assert got == want
-            assert got_rounds == want_rounds
+            check_against_oracles(monkeypatch, random_market_instance(rng, n, top - 1))
+
+
+def test_auction_rounds_do_not_grow_with_valuations(monkeypatch):
+    for v in (10**5, 10**12):
+        inst = market_instance([[v, 0], [v, 0]])
+        prices, rounds = auction_rounds(monkeypatch, inst)
+        assert prices == (v, 0)
+        assert len(rounds) <= inst.n * (inst.n + 1) + 1
 
 
 def test_cap_below_auction_minimum_is_refused_like_the_oracle():
@@ -415,8 +455,7 @@ def test_enumeration_does_not_share_the_demand_sets(monkeypatch):
     real = market_clearing._row_demand
 
     def first_best_only(row, prices):
-        pay, best, items = real(row, prices)
-        return pay, best, items[:1]
+        return real(row, prices)[:1]
 
     monkeypatch.setattr(market_clearing, "_row_demand", first_best_only)
     rows = market_battery(random.Random(3), VerifyConfig(),

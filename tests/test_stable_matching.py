@@ -135,6 +135,10 @@ def test_parse_rejects_malformed():
         parse_instance("smp 1\nman 0: 0")  # missing woman line
     with pytest.raises(MalformedFile):
         parse_instance("smp 1\nman 1: 0\nwoman 0: 0")  # wrong index
+    with pytest.raises(MalformedFile, match="instance size must be positive"):
+        parse_instance("smp 0")
+    with pytest.raises(MalformedFile, match="non-integer preference"):
+        parse_instance("smp 1\nman 0: x\nwoman 0: 0")
     with pytest.raises(SizeMismatch):
         parse_instance("smp 2\nman 0: 0\nman 1: 0 1\nwoman 0: 0 1\nwoman 1: 0 1")
     with pytest.raises(NotAPermutation):
