@@ -73,6 +73,7 @@ smps = [random_smp_instance(rng, rng.randint(cfg.smp_n_min, cfg.smp_n_max))
 proposers = random_smp_instance(rng, 1000)
 chain = oc.poset_from_covers(range(1200), [(i, i + 1) for i in range(1199)])
 catalog = birkhoff_battery(cfg.birkhoff_max_elements).checked
+smp_text, market_text = sm.serialize_instance(smp), mc.serialize_market(market)
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
         f"{len(markets)} markets, n {cfg.market_n_min}-{cfg.market_n_max}, "
@@ -96,6 +97,9 @@ print(json.dumps({
         lambda: sm.gale_shapley(sm.SMPInstance(proposers.n, proposers.men_prefs,
                                                proposers.women_prefs))),
     "chain_partition": timed("a 1200-element chain", lambda: oc.chain_partition(chain)),
+    "parse_market": timed("the n = 200 market's text", lambda: mc.parse_market(market_text)),
+    "parse_instance": timed("the n = 400 instance's text",
+                            lambda: sm.parse_instance(smp_text)),
     "birkhoff_battery": timed(
         f"{catalog} catalog lattices of up to {cfg.birkhoff_max_elements} elements",
         lambda: birkhoff_battery(cfg.birkhoff_max_elements)),

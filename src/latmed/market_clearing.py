@@ -22,14 +22,13 @@ from operator import add, sub
 
 from . import bipartite
 from .errors import (
-    MalformedFile,
     NotClearingInput,
     OutOfBounds,
     ShapeMismatch,
     SizeMismatch,
 )
 from .lattice_median import checked_median
-from .order_core import check_enum_limit
+from .order_core import check_enum_limit, parse_rows
 
 
 @dataclass(frozen=True)
@@ -59,32 +58,8 @@ def market_instance(valuations, price_cap=None):
 
 def parse_market(text):
     """Read the `market <n> [cap]` text format (see serialize_market)."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("market "):
-        raise MalformedFile("expected header 'market <n> [cap]'")
-    head = lines[0].split()
-    try:
-        n = int(head[1])
-        cap = int(head[2]) if len(head) > 2 else None
-    except (IndexError, ValueError):
-        raise MalformedFile(f"bad header {lines[0]!r}") from None
-    if n < 1:
-        raise MalformedFile(f"instance size must be positive, got {n}")
-    if len(lines) != 1 + n:
-        raise MalformedFile(f"expected {1 + n} lines, got {len(lines)}")
-    rows = []
-    for i in range(n):
-        head_i, sep, rest = lines[1 + i].partition(":")
-        if not sep or head_i.split() != ["buyer", str(i)]:
-            raise MalformedFile(f"expected 'buyer {i}: ...', got {lines[1 + i]!r}")
-        try:
-            row = [int(tok) for tok in rest.split()]
-        except ValueError:
-            raise MalformedFile(f"non-integer valuation in {lines[1 + i]!r}") from None
-        if len(row) != n:
-            raise SizeMismatch(f"buyer {i}: expected {n} valuations, got {len(row)}")
-        rows.append(row)
-    return market_instance(rows, cap)
+    cap, (rows,) = parse_rows(text, "market", ("cap",), ("buyer",), "valuation", "valuations")
+    return market_instance(rows, *cap)
 
 
 def serialize_market(inst):

@@ -20,10 +20,12 @@ from . import bipartite
 from .errors import (
     CycleDetected,
     EmptyInput,
+    MalformedFile,
     NotALattice,
     NotDistributive,
     OutOfBounds,
     ShapeMismatch,
+    SizeMismatch,
     TooLarge,
     UnknownLabel,
 )
@@ -89,6 +91,48 @@ def parse_vector(text: str):
     if any(c < 0 for c in counts):
         raise OutOfBounds(f"negative component in {text!r}")
     return counts
+
+
+def parse_rows(text, kind, optional, labels, noun, row_noun):
+    """Read a line-oriented instance file: the header `<kind> <n>`, then
+    up to len(optional) integers named by `optional`, then for each label
+    in `labels` the n rows `<label> <i>: <n integers>`, i = 0..n-1.
+
+    Blank lines are skipped. Each row is checked for its label and index,
+    then for integers (`noun` names one in the message), then for its
+    length (`row_noun` names them), before the next row is read. Returns
+    the header's optional integers and one list of rows per label.
+    """
+    lines = [s for s in map(str.strip, text.splitlines()) if s]
+    if not lines or not lines[0].startswith(kind + " "):
+        spec = " ".join([kind, "<n>", *(f"[{name}]" for name in optional)])
+        raise MalformedFile(f"expected header '{spec}'")
+    try:
+        n, *extras = map(int, lines[0].split()[1:])
+    except ValueError:
+        extras = None
+    if extras is None or len(extras) > len(optional):
+        raise MalformedFile(f"bad header {lines[0]!r}")
+    if n < 1:
+        raise MalformedFile(f"instance size must be positive, got {n}")
+    if len(lines) != 1 + len(labels) * n:
+        raise MalformedFile(f"expected {1 + len(labels) * n} lines, got {len(lines)}")
+    groups = []
+    for k, label in enumerate(labels):
+        group = []
+        for i, line in enumerate(lines[1 + k * n:1 + (k + 1) * n]):
+            head, sep, rest = line.partition(":")
+            if not sep or head.split() != [label, str(i)]:
+                raise MalformedFile(f"expected '{label} {i}: ...', got {line!r}")
+            try:
+                row = list(map(int, rest.split()))
+            except ValueError:
+                raise MalformedFile(f"non-integer {noun} in {line!r}") from None
+            if len(row) != n:
+                raise SizeMismatch(f"{label} {i}: expected {n} {row_noun}, got {len(row)}")
+            group.append(row)
+        groups.append(group)
+    return extras, groups
 
 
 # ---------------------------------------------------------------------------

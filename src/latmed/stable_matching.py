@@ -14,14 +14,13 @@ from functools import cached_property
 
 from .errors import (
     IndexOutOfRange,
-    MalformedFile,
     NotAPermutation,
     NotStableInput,
     RankOutOfRange,
     SizeMismatch,
 )
 from .lattice_median import checked_median
-from .order_core import check_enum_limit
+from .order_core import check_enum_limit, parse_rows
 
 
 @dataclass(frozen=True)
@@ -66,33 +65,8 @@ def smp_instance(men_prefs, women_prefs):
 
 def parse_instance(text):
     """Read the `smp <n>` text format (see serialize_instance)."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("smp "):
-        raise MalformedFile("expected header 'smp <n>'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise MalformedFile(f"bad header {lines[0]!r}") from None
-    if n < 1:
-        raise MalformedFile(f"instance size must be positive, got {n}")
-    if len(lines) != 1 + 2 * n:
-        raise MalformedFile(f"expected {1 + 2 * n} lines, got {len(lines)}")
-    men = [_parse_pref_line(lines[1 + i], "man", i, n) for i in range(n)]
-    women = [_parse_pref_line(lines[1 + n + i], "woman", i, n) for i in range(n)]
+    _, (men, women) = parse_rows(text, "smp", (), ("man", "woman"), "preference", "entries")
     return smp_instance(men, women)
-
-
-def _parse_pref_line(line, side, i, n):
-    head, sep, rest = line.partition(":")
-    if not sep or head.split() != [side, str(i)]:
-        raise MalformedFile(f"expected '{side} {i}: ...', got {line!r}")
-    try:
-        prefs = [int(tok) for tok in rest.split()]
-    except ValueError:
-        raise MalformedFile(f"non-integer preference in {line!r}") from None
-    if len(prefs) != n:
-        raise SizeMismatch(f"{side} {i}: expected {n} entries, got {len(prefs)}")
-    return prefs
 
 
 def serialize_instance(inst):

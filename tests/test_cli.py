@@ -160,6 +160,10 @@ def test_domain_errors_report_class_name(capsys, tmp_path):
     wide.write_text("market 1 10000\nbuyer 0: 0\n")
     report, out = run(capsys, "market", "enumerate", str(wide))
     assert report.exit_code == 1 and out.startswith("TooLarge")
+    extra = tmp_path / "extra.txt"
+    extra.write_text("market 1 5 7\nbuyer 0: 1\n")  # a token past the optional cap
+    report, out = run(capsys, "market", "clear", str(extra))
+    assert report.exit_code == 1 and out == "MalformedFile: bad header 'market 1 5 7'\n"
 
 
 def test_undecodable_files_are_file_errors(capsys, tmp_path):
@@ -196,9 +200,10 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_flags_only_where_read(capsys):
-    # --seed, --trials and --max-n belong to repro verify; anywhere else
-    # they are usage errors
+    # --seed, --instances, --trials and --max-n belong to repro verify;
+    # anywhere else they are usage errors
     for argv in (["smp", "solve", SMP3, "--trials", "3"],
+                 ["smp", "solve", SMP3, "--instances", "3"],
                  ["market", "clear", MARKET2, "--seed", "1"],
                  ["smp", "verify", SMP3, "--matching", "(0,0,0)", "--max-n", "3"],
                  ["smp", "enumerate", SMP3, "--max-n", "3"],

@@ -1,9 +1,12 @@
 """Fuzzed CLI front end: any input file ends in a report, never a traceback.
 
-Input files are drawn near the accepted formats (bad headers, wrong row
-lengths, negative or out-of-range entries, price caps up to 10^6) and as
-raw bytes. Valuations are drawn small, so that ties are common, and up to
-10^12, since the auction's rounds do not grow with the valuations.
+Input files are drawn near the accepted formats (bad headers, headers
+with tokens past the format's, wrong row lengths, negative or
+out-of-range entries, price caps up to 10^6) and as raw bytes.
+Valuations are drawn small, so that ties are common, and up to 10^12,
+since the auction's rounds do not grow with the valuations. An instance
+file whose header has more tokens than its format defines must be
+refused for that header: the instance is read before anything else.
 """
 
 import contextlib
@@ -42,7 +45,8 @@ def smp_text(draw):
     for side in ("man", "woman"):
         lines += [f"{side} {i}: " + " ".join(map(str, draw(st.permutations(range(n)))))
                   for i in range(n)]
-    return perturbed(draw, lines, [f"smp {n + 1}", "smp", "smp x", "smp 0"], ENTRY, n)
+    headers = [f"smp {n + 1}", "smp", "smp x", "smp 0", f"smp {n} {n}", f"smp {n} x"]
+    return perturbed(draw, lines, headers, ENTRY, n)
 
 
 @st.composite
@@ -54,8 +58,24 @@ def market_text(draw):
     lines += [f"buyer {i}: " + " ".join(map(str, draw(st.lists(VALUATION,
                                                                  min_size=n, max_size=n))))
               for i in range(n)]
-    headers = [f"market {n + 1} {cap}", "market", f"market {n} x", f"market {n} -1"]
+    headers = [f"market {n + 1} {cap}", "market", f"market {n} x", f"market {n} -1",
+               f"market {n} 5 7", f"market {n} {cap} x"]
     return perturbed(draw, lines, headers, st.one_of(st.integers(-1, 50), VALUATION), n)
+
+
+HEADER_TOKENS = {"smp": 2, "market": 3}  # `smp <n>`, `market <n> [cap]`
+
+
+def overlong_header(kind, path):
+    """The first non-blank line of the file, if it is a `kind` header with
+    more tokens than the format defines; else None."""
+    try:
+        lines = [s for s in map(str.strip, path.read_text().splitlines()) if s]
+    except UnicodeDecodeError:
+        return None
+    if lines and lines[0].startswith(kind + " ") and len(lines[0].split()) > HEADER_TOKENS[kind]:
+        return lines[0]
+    return None
 
 
 def vector(entries):
@@ -120,3 +140,6 @@ def test_cli_never_raises(tmp_path_factory, data):
     assert report.exit_code == 2 or report.exit_code == bool(report.violations)
     if as_json and report.exit_code != 2:
         assert json.loads(out.getvalue())["violations"] == list(report.violations)
+    header = overlong_header(command[0], paths[0]) if command[0] in HEADER_TOKENS else None
+    if header is not None and report.exit_code != 2:
+        assert report.violations == (f"MalformedFile: bad header {header!r}",)

@@ -55,20 +55,42 @@ def test_text_round_trip():
 
 
 def test_parse_rejects_malformed():
-    with pytest.raises(MalformedFile):
-        parse_market("hello")
-    with pytest.raises(MalformedFile):
-        parse_market("market x")
-    with pytest.raises(MalformedFile):
-        parse_market("market 2\nbuyer 0: 1 2")
-    with pytest.raises(MalformedFile):
-        parse_market("market 1\nbuyer 1: 1")
-    with pytest.raises(SizeMismatch):
-        parse_market("market 2\nbuyer 0: 1\nbuyer 1: 1 2")
-    with pytest.raises(MalformedFile):
-        parse_market("market 1\nbuyer 0: x")
-    with pytest.raises(MalformedFile, match="instance size must be positive"):
-        parse_market("market 0")
+    # every refusal by class and exact message, in the order of
+    # test_stable_matching's; the cap and the valuations are checked for
+    # sign only once every row has been read
+    nope = "expected header 'market <n> [cap]'"
+    cases = [
+        ("hello", MalformedFile, nope),
+        ("market", MalformedFile, nope),  # a bare header
+        ("market\t1\nbuyer 0: 1", MalformedFile, nope),
+        ("market x", MalformedFile, "bad header 'market x'"),
+        ("market 1 x\nbuyer 0: 1", MalformedFile, "bad header 'market 1 x'"),
+        ("market 1 5 7\nbuyer 0: 1", MalformedFile, "bad header 'market 1 5 7'"),
+        ("market 1 5 x\nbuyer 0: 1", MalformedFile, "bad header 'market 1 5 x'"),
+        ("market 0 5 7", MalformedFile, "bad header 'market 0 5 7'"),  # tokens past the cap
+        ("market 0", MalformedFile, "instance size must be positive, got 0"),
+        ("market 2\nbuyer 0: 1 2", MalformedFile, "expected 3 lines, got 2"),
+        ("market 1\nbuyer 1: x\nbuyer 0: 1", MalformedFile, "expected 2 lines, got 3"),
+        ("market 1\nseller 0: 1", MalformedFile,
+         "expected 'buyer 0: ...', got 'seller 0: 1'"),  # wrong label
+        ("market 1\nbuyer 1: 1", MalformedFile,
+         "expected 'buyer 0: ...', got 'buyer 1: 1'"),  # wrong index
+        ("market 1\nbuyer 1: x", MalformedFile, "expected 'buyer 0: ...', got 'buyer 1: x'"),
+        ("market 1\nbuyer 0: x", MalformedFile, "non-integer valuation in 'buyer 0: x'"),
+        ("market 2\nbuyer 0: 1\nbuyer 1: 1 2", SizeMismatch,
+         "buyer 0: expected 2 valuations, got 1"),  # a short row
+        ("market 2\nbuyer 0: 1\nbuyer 1: x", SizeMismatch,
+         "buyer 0: expected 2 valuations, got 1"),
+        ("market 2 -1\nbuyer 0: -1 2\nbuyer 1: 1 x", MalformedFile,
+         "non-integer valuation in 'buyer 1: 1 x'"),
+        ("market 1 -1\nbuyer 0: 1", OutOfBounds, "price cap must be nonnegative, got -1"),
+        ("market 1\nbuyer 0: -3", OutOfBounds, "buyer 0: negative valuation -3"),
+        ("market 1 -1\nbuyer 0: -3", OutOfBounds, "buyer 0: negative valuation -3"),
+    ]
+    for text, error, message in cases:
+        with pytest.raises(error) as caught:
+            parse_market(text)
+        assert type(caught.value) is error and str(caught.value) == message, text
 
 
 def test_demand_graph_argmax_semantics():

@@ -127,22 +127,49 @@ def test_text_round_trip():
 
 
 def test_parse_rejects_malformed():
-    with pytest.raises(MalformedFile):
-        parse_instance("nope")
-    with pytest.raises(MalformedFile):
-        parse_instance("smp x")
-    with pytest.raises(MalformedFile):
-        parse_instance("smp 1\nman 0: 0")  # missing woman line
-    with pytest.raises(MalformedFile):
-        parse_instance("smp 1\nman 1: 0\nwoman 0: 0")  # wrong index
-    with pytest.raises(MalformedFile, match="instance size must be positive"):
-        parse_instance("smp 0")
-    with pytest.raises(MalformedFile, match="non-integer preference"):
-        parse_instance("smp 1\nman 0: x\nwoman 0: 0")
-    with pytest.raises(SizeMismatch):
-        parse_instance("smp 2\nman 0: 0\nman 1: 0 1\nwoman 0: 0 1\nwoman 1: 0 1")
-    with pytest.raises(NotAPermutation):
-        parse_instance("smp 2\nman 0: 0 0\nman 1: 0 1\nwoman 0: 0 1\nwoman 1: 0 1")
+    # every refusal by class and exact message; within a line the label and
+    # index come first, then the integers, then the count, and each line is
+    # checked in full before the next is read
+    nope = "expected header 'smp <n>'"
+    cases = [
+        ("nope", MalformedFile, nope),
+        ("smp", MalformedFile, nope),  # a bare header
+        ("smp\t1\nman 0: 0\nwoman 0: 0", MalformedFile, nope),
+        ("smp x", MalformedFile, "bad header 'smp x'"),
+        ("smp 1 2\nman 0: 0\nwoman 0: 0", MalformedFile, "bad header 'smp 1 2'"),
+        ("smp 1 junk\nman 0: 0\nwoman 0: 0", MalformedFile, "bad header 'smp 1 junk'"),
+        ("smp 0 1", MalformedFile, "bad header 'smp 0 1'"),  # tokens the format lacks
+        ("smp 0", MalformedFile, "instance size must be positive, got 0"),
+        ("smp -1\nman 0: 0", MalformedFile, "instance size must be positive, got -1"),
+        ("smp 1\nman 0: 0", MalformedFile, "expected 3 lines, got 2"),
+        ("smp 1\nman 1: x", MalformedFile, "expected 3 lines, got 2"),
+        ("smp 1\nwoman 0: 0\nman 0: 0", MalformedFile,
+         "expected 'man 0: ...', got 'woman 0: 0'"),  # wrong label
+        ("smp 1\nman 0 0\nwoman 0: 0", MalformedFile,
+         "expected 'man 0: ...', got 'man 0 0'"),  # no colon
+        ("smp 1\nman 1: 0\nwoman 0: 0", MalformedFile,
+         "expected 'man 0: ...', got 'man 1: 0'"),  # wrong index
+        ("smp 1\nman 1: x\nwoman 0: 0", MalformedFile,
+         "expected 'man 0: ...', got 'man 1: x'"),
+        ("smp 1\nman 0: 0\nwoman 1: x", MalformedFile,
+         "expected 'woman 0: ...', got 'woman 1: x'"),
+        ("smp 1\nman 0: x\nwoman 0: 0", MalformedFile, "non-integer preference in 'man 0: x'"),
+        ("smp 2\nman 0: x\nman 3: 0\nwoman 0: 0 1\nwoman 1: 0 1", MalformedFile,
+         "non-integer preference in 'man 0: x'"),
+        ("smp 2\nman 0: 0\nman 1: 0 1\nwoman 0: 0 1\nwoman 1: 0 1", SizeMismatch,
+         "man 0: expected 2 entries, got 1"),  # a short row
+        ("smp 2\nman 0: 0\nman 1: x\nwoman 0: 0 1\nwoman 1: 0 1", SizeMismatch,
+         "man 0: expected 2 entries, got 1"),
+        ("smp 1\nman 0: 0\nwoman 0: 0 1", SizeMismatch, "woman 0: expected 1 entries, got 2"),
+        ("smp 2\nman 0: 0 0\nman 1: 0 1\nwoman 0: 0 1\nwoman 1: 0 x", MalformedFile,
+         "non-integer preference in 'woman 1: 0 x'"),
+        ("smp 2\nman 0: 0 0\nman 1: 0 1\nwoman 0: 0 1\nwoman 1: 0 1", NotAPermutation,
+         "man 0: [0, 0] is not a permutation of 0..1"),
+    ]
+    for text, error, message in cases:
+        with pytest.raises(error) as caught:
+            parse_instance(text)
+        assert type(caught.value) is error and str(caught.value) == message, text
 
 
 def test_assignment_round_trip():

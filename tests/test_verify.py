@@ -5,10 +5,12 @@ from dataclasses import fields
 
 import pytest
 
-from latmed import lattice_median, stable_matching
+from latmed import lattice_median, stable_matching, verify
+from latmed.order_core import Poset
 from latmed.verify import (
     PropertyResult,
     VerifyConfig,
+    birkhoff_battery,
     block_swap_instance,
     chain_product_lattices,
     fixed_lattices,
@@ -97,6 +99,19 @@ def test_catalog_shapes():
     lats = chain_product_lattices(20)
     assert all(len(lat.elements) <= 20 for _, lat in lats)
     assert any(name.count("x") == 2 for name, _ in lats)  # three-chain products
+
+
+def test_birkhoff_row_catches_a_lost_join_irreducible(monkeypatch):
+    real = verify.birkhoff_round_trip
+
+    def drop_one(lat):
+        jp, mapping = real(lat)
+        return Poset(elements=jp.elements[1:], down=jp.down[1:]), mapping
+
+    monkeypatch.setattr(verify, "birkhoff_round_trip", drop_one)
+    r = birkhoff_battery(20)
+    assert r.checked > 0 and len(r.failures) == r.checked
+    assert all("join-irreducibles but rank" in f for f in r.failures)
 
 
 def test_block_swap_instance_sizes():
