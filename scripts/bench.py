@@ -45,7 +45,8 @@ from time import perf_counter
 from latmed import lattice_median as lm, market_clearing as mc, order_core as oc
 from latmed import stable_matching as sm
 from latmed.verify import (VerifyConfig, birkhoff_battery, block_swap_instance,
-                           random_market_instance, random_smp_instance)
+                           random_market_instance, random_smp_instance,
+                           regularity_gate_battery)
 
 def timed(size, fn, repeats=5):
     times = []
@@ -56,7 +57,8 @@ def timed(size, fn, repeats=5):
     return {"size": size, "median_ms": statistics.median(times)}
 
 cfg = VerifyConfig()
-rng = random.Random(int(sys.argv[1]))
+seed = int(sys.argv[1])
+rng = random.Random(seed)
 markets = [random_market_instance(rng, rng.randint(cfg.market_n_min, cfg.market_n_max),
                                   cfg.market_max_valuation)
            for _ in range(cfg.market_instances)]
@@ -96,6 +98,8 @@ print(json.dumps({
         "n = 1000, men proposing, rank tables built each call",
         lambda: sm.gale_shapley(sm.SMPInstance(proposers.n, proposers.men_prefs,
                                                proposers.women_prefs))),
+    "smp_instance": timed("the n = 1000 proposers' rows",
+                          lambda: sm.smp_instance(proposers.men_prefs, proposers.women_prefs)),
     "chain_partition": timed("a 1200-element chain", lambda: oc.chain_partition(chain)),
     "parse_market": timed("the n = 200 market's text", lambda: mc.parse_market(market_text)),
     "parse_instance": timed("the n = 400 instance's text",
@@ -103,6 +107,9 @@ print(json.dumps({
     "birkhoff_battery": timed(
         f"{catalog} catalog lattices of up to {cfg.birkhoff_max_elements} elements",
         lambda: birkhoff_battery(cfg.birkhoff_max_elements)),
+    "regularity_gate_battery": timed(
+        f"{cfg.gate_trials} trials from a generator of their own",
+        lambda: regularity_gate_battery(random.Random(seed), cfg.gate_trials)),
 }))
 """
 

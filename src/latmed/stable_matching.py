@@ -54,9 +54,10 @@ def smp_instance(men_prefs, women_prefs):
     n = len(men)
     if len(women) != n:
         raise SizeMismatch(f"{n} men but {len(women)} women")
+    full = set(range(n))
     for side, rows in (("man", men), ("woman", women)):
         for i, row in enumerate(rows):
-            if sorted(row) != list(range(n)):
+            if len(row) != n or set(row) != full:
                 raise NotAPermutation(
                     f"{side} {i}: {list(row)} is not a permutation of 0..{n - 1}"
                 )
@@ -90,13 +91,6 @@ def woman_of(inst, assignment, i):
     return inst.men_prefs[i][r]
 
 
-def assignment_to_matching(inst, assignment):
-    """Rank vector to sorted (man, woman) pairs."""
-    if len(assignment) != inst.n:
-        raise SizeMismatch(f"expected {inst.n} ranks, got {len(assignment)}")
-    return [(i, woman_of(inst, assignment, i)) for i in range(inst.n)]
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     is_matching: bool
@@ -116,12 +110,14 @@ def stability_report(inst, assignment):
     list is read only down to his partner, so the work is n plus the sum
     of the ranks.
     """
-    wives = assignment_to_matching(inst, assignment)
-    if len({w for _, w in wives}) != inst.n:
+    n = inst.n
+    if len(assignment) != n:
+        raise SizeMismatch(f"expected {n} ranks, got {len(assignment)}")
+    husband = [-1] * n
+    for m in range(n):
+        husband[woman_of(inst, assignment, m)] = m
+    if -1 in husband:  # n men filled fewer than n women
         return StabilityReport(is_matching=False, blocking=())
-    husband = [-1] * inst.n
-    for m, w in wives:
-        husband[w] = m
     women_rank = inst.women_rank
     blocking = sorted(
         (m, w)

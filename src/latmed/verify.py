@@ -199,7 +199,8 @@ def smp_battery(rng, cfg, inv):
         mirrored = []
         for g in sm.all_stable_matchings(mirror):
             ranks = [0] * n
-            for w, m in sm.assignment_to_matching(mirror, g):
+            for w in range(n):
+                m = sm.woman_of(mirror, g, w)  # woman w's husband
                 ranks[m] = inst.men_rank[m][w]
             mirrored.append(tuple(ranks))
         if sorted(mirrored) != stable:
@@ -340,19 +341,20 @@ def constrained_battery(rng, cfg):
     return res
 
 
+def _close(vectors, op):
+    # adding v to a set closed under op keeps it closed once op(x, v) is
+    # added for every member x, as (x op v) op (y op v) = (x op y) op v
+    out = set()
+    for v in vectors:
+        out |= {op(x, v) for x in out}
+        out.add(v)
+    return out
+
+
 def _close_under_ops(vectors):
-    out = set(vectors)
-    frontier = list(out)
-    while frontier:
-        fresh = []
-        for a in list(out):
-            for b in frontier:
-                for c in (meet(a, b), join(a, b)):
-                    if c not in out:
-                        out.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return sorted(out)
+    # the meet-closure of the join-closure J is also closed under join, as
+    # (∧U) ∨ (∧V) = ∧{u ∨ v : u ∈ U, v ∈ V} and each u ∨ v is in J
+    return sorted(_close(_close(vectors, join), meet))
 
 
 def regularity_gate_battery(rng, trials):

@@ -57,6 +57,10 @@ def test_smp_verify_exit_codes(capsys):
     assert out == "blocking: (1,0)\nblocking: (1,1)\nblocking: (2,2)\n"
     report, out = run(capsys, "smp", "verify", SMP3, "--matching", "(1,0,0)")
     assert report.exit_code == 1 and out == "not-a-matching\n"
+    report, out = run(capsys, "smp", "verify", SMP3, "--matching", "(5,0,0)")
+    assert report.exit_code == 1 and out == "RankOutOfRange: rank 5 for man 0 outside 0..2\n"
+    report, out = run(capsys, "smp", "verify", SMP3, "--matching", "(0,1)")
+    assert report.exit_code == 1 and out == "SizeMismatch: expected 3 ranks, got 2\n"
 
 
 def test_market_commands(capsys):

@@ -21,7 +21,6 @@ from latmed.errors import (
 from latmed.order_core import join, meet
 from latmed.stable_matching import (
     all_stable_matchings,
-    assignment_to_matching,
     conjoin,
     forbids,
     gale_shapley,
@@ -104,12 +103,35 @@ def naive_stable_set(inst):
 
 
 def test_instance_validation():
-    with pytest.raises(SizeMismatch):
-        smp_instance([[0]], [])
-    with pytest.raises(NotAPermutation):
-        smp_instance([[0, 0]], [[0, 1]])
-    with pytest.raises(NotAPermutation):
-        smp_instance([[0, 1]], [[0, 2]])
+    # every refusal by class and exact message: the side counts first, then
+    # men's rows before women's, each reported with its list(row) text
+    good = [[0, 1], [1, 0]]
+    cases = [
+        ([[0]], [], SizeMismatch, "1 men but 0 women"),
+        (good, [[0, 1]], SizeMismatch, "2 men but 1 women"),
+        ([[0, 0], [0, 1]], good, NotAPermutation,
+         "man 0: [0, 0] is not a permutation of 0..1"),  # a duplicate entry
+        ([[0, 1], [0, 2]], good, NotAPermutation,
+         "man 1: [0, 2] is not a permutation of 0..1"),  # out of range
+        ([[0, 1], [1, -1]], good, NotAPermutation,
+         "man 1: [1, -1] is not a permutation of 0..1"),
+        ([[0], [0, 1]], good, NotAPermutation,
+         "man 0: [0] is not a permutation of 0..1"),  # a short row
+        ([[0, 1, 0], [0, 1]], good, NotAPermutation,
+         "man 0: [0, 1, 0] is not a permutation of 0..1"),  # a long row
+        ([[0, 1, 2], [1, 0]], good, NotAPermutation,
+         "man 0: [0, 1, 2] is not a permutation of 0..1"),
+        (good, [[0, 1], [1, 1]], NotAPermutation,
+         "woman 1: [1, 1] is not a permutation of 0..1"),  # behind good men
+        (good, [[0, 1], [1, 0, 1]], NotAPermutation,
+         "woman 1: [1, 0, 1] is not a permutation of 0..1"),
+        ([[0, 0], [0, 1]], [[0, 1], [0, 2]], NotAPermutation,
+         "man 0: [0, 0] is not a permutation of 0..1"),  # men before women
+    ]
+    for men, women, error, message in cases:
+        with pytest.raises(error) as caught:
+            smp_instance(men, women)
+        assert type(caught.value) is error and str(caught.value) == message, (men, women)
 
 
 def test_rank_tables():
@@ -175,14 +197,38 @@ def test_parse_rejects_malformed():
 def test_assignment_round_trip():
     inst = smp_instance([[1, 0], [0, 1]], [[0, 1], [1, 0]])
     g = (0, 0)  # man 0's rank 0 is woman 1, man 1's rank 0 is woman 0
-    pairs = assignment_to_matching(inst, g)
-    assert pairs == [(0, 1), (1, 0)]
+    assert [woman_of(inst, g, i) for i in range(inst.n)] == [1, 0]
     with pytest.raises(RankOutOfRange):
         woman_of(inst, (2, 0), 0)
     with pytest.raises(IndexOutOfRange):
         woman_of(inst, (0, 0), 5)
     with pytest.raises(SizeMismatch):
-        assignment_to_matching(inst, (0,))
+        stability_report(inst, (0,))
+
+
+def test_stability_report_refusals():
+    # every refusal by class and exact message: the length first, then the
+    # first rank out of range in man order, before any not-a-matching verdict
+    inst = smp_instance(
+        [[0, 1, 2], [1, 0, 2], [2, 1, 0]],
+        [[1, 0, 2], [0, 1, 2], [2, 0, 1]],
+    )
+    cases = [
+        ((0, 0), SizeMismatch, "expected 3 ranks, got 2"),  # short
+        ((0, 0, 0, 0), SizeMismatch, "expected 3 ranks, got 4"),  # long
+        ((0, 0, 9, 9), SizeMismatch, "expected 3 ranks, got 4"),
+        ((3, 0, 0), RankOutOfRange, "rank 3 for man 0 outside 0..2"),  # rank n
+        ((0, -1, 0), RankOutOfRange, "rank -1 for man 1 outside 0..2"),
+        ((0, 3, -1), RankOutOfRange, "rank 3 for man 1 outside 0..2"),
+        # men 0 and 1 share woman 0, yet the bad rank at the last man wins
+        ((0, 1, 3), RankOutOfRange, "rank 3 for man 2 outside 0..2"),
+        ((0, 1, -1), RankOutOfRange, "rank -1 for man 2 outside 0..2"),
+    ]
+    for g, error, message in cases:
+        with pytest.raises(error) as caught:
+            stability_report(inst, g)
+        assert type(caught.value) is error and str(caught.value) == message, g
+    assert not stability_report(inst, (0, 1, 0)).is_matching
 
 
 def test_stability_report_by_hand():

@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 
 from latmed import lattice_median, stable_matching, verify
-from latmed.order_core import Poset
+from latmed.order_core import Poset, join, meet
 from latmed.verify import (
     PropertyResult,
     VerifyConfig,
@@ -92,6 +92,49 @@ def test_gate_battery_catches_a_gate_that_refuses_everything(monkeypatch):
     r = regularity_gate_battery(random.Random(3), trials=60)
     assert not r.passed
     assert all("gate fired on a regular set" in f for f in r.failures)
+
+
+def fixpoint_closure(vectors):
+    # oracle: add every meet and join of a member with a new one until
+    # nothing new appears, with no appeal to distributivity
+    out = set(vectors)
+    frontier = list(out)
+    while frontier:
+        fresh = []
+        for a in list(out):
+            for b in frontier:
+                for c in (meet(a, b), join(a, b)):
+                    if c not in out:
+                        out.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return sorted(out)
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1])
+def test_closure_matches_fixpoint_on_gate_battery_sets(monkeypatch, seed):
+    real, seen = verify._close_under_ops, []
+
+    def record(vectors):
+        closed = real(vectors)
+        seen.append((list(vectors), closed))
+        return closed
+
+    monkeypatch.setattr(verify, "_close_under_ops", record)
+    regularity_gate_battery(random.Random(seed), VerifyConfig(seed=seed).gate_trials)
+    assert seen
+    for vectors, closed in seen:
+        assert closed == fixpoint_closure(vectors), vectors
+
+
+def test_closure_matches_fixpoint_on_random_sets():
+    rng = random.Random(15)
+    for _ in range(2000):
+        dim = rng.randint(1, 4)
+        # 1-8 draws from a small box, so duplicates and singletons occur
+        vectors = [tuple(rng.randint(0, 3) for _ in range(dim))
+                   for _ in range(rng.randint(1, 8))]
+        assert verify._close_under_ops(vectors) == fixpoint_closure(vectors), vectors
 
 
 def test_catalog_shapes():
