@@ -95,7 +95,7 @@ print(json.dumps({
         "and a 4-block gadget (16 matchings)",
         lambda: [sm.all_stable_matchings(s) for s in smps]),
     "gale_shapley": timed(
-        "n = 1000, men proposing, rank tables built each call",
+        "n = 1000, men proposing, women's rank table built each call",
         lambda: sm.gale_shapley(sm.SMPInstance(proposers.n, proposers.men_prefs,
                                                proposers.women_prefs))),
     "smp_instance": timed("the n = 1000 proposers' rows",

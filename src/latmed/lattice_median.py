@@ -10,7 +10,6 @@ verifies that statement empirically for a concrete satisfying set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, zip_longest
 from operator import le
 
@@ -89,12 +88,6 @@ def check_regular(elements):
     return None
 
 
-@dataclass(frozen=True)
-class MedianTheoremReport:
-    subsets_checked: int
-    violations: tuple  # (family, j, median) triples, sorted
-
-
 def check_median_theorem(satisfying, rng_seed=42):
     """Verify that medians of subsets of a regular set stay in the set.
 
@@ -102,7 +95,8 @@ def check_median_theorem(satisfying, rng_seed=42):
     otherwise, since nothing is guaranteed then). Sets of at most
     EXHAUSTIVE_BOUND elements are checked over every subset of size <=
     THEOREM_K_MAX; larger ones over THEOREM_TRIALS sampled subsets, from a
-    generator seeded with rng_seed.
+    generator seeded with rng_seed. Returns the violations, (family, j,
+    median) triples, sorted; empty when every median stays in the set.
     """
     vs = [tuple(v) for v in satisfying]
     violation = check_regular(vs)
@@ -112,25 +106,18 @@ def check_median_theorem(satisfying, rng_seed=42):
             f"set not closed under {op} of {format_vector(x)} and {format_vector(y)}"
         )
     members = set(vs)
+    k_max = min(THEOREM_K_MAX, len(vs))
     if len(vs) <= EXHAUSTIVE_BOUND:
-        families = [
-            list(sub)
-            for k in range(1, min(THEOREM_K_MAX, len(vs)) + 1)
-            for sub in combinations(vs, k)
-        ]
+        families = (sub for k in range(1, k_max + 1) for sub in combinations(vs, k))
     else:
         rng = random.Random(rng_seed)
-        families = [
-            rng.sample(vs, rng.randint(1, min(THEOREM_K_MAX, len(vs))))
-            for _ in range(THEOREM_TRIALS)
-        ]
-    violations = []
-    for family in families:
-        for j, g in enumerate(generalized_medians(family), start=1):
-            if g not in members:
-                violations.append((tuple(family), j, g))
-    violations.sort()
-    return MedianTheoremReport(len(families), tuple(violations))
+        families = (tuple(rng.sample(vs, rng.randint(1, k_max))) for _ in range(THEOREM_TRIALS))
+    return tuple(sorted(
+        (family, j, g)
+        for family in families
+        for j, g in enumerate(generalized_medians(family), start=1)
+        if g not in members
+    ))
 
 
 def checked_median(family, j, is_member, refuse):

@@ -83,8 +83,6 @@ def _row_demand(row, prices):
     """The items that give one buyer its best payoff, in ascending order."""
     pay = list(map(sub, row, prices))
     best = max(pay)
-    if pay.count(best) == 1:
-        return [pay.index(best)]
     return [j for j, x in enumerate(pay) if x == best]
 
 

@@ -101,7 +101,7 @@ def parse_rows(text, kind, optional, labels, noun, row_noun):
     Blank lines are skipped. Each row is checked for its label and index,
     then for integers (`noun` names one in the message), then for its
     length (`row_noun` names them), before the next row is read. Returns
-    the header's optional integers and one list of rows per label.
+    the header's optional integers and one list of tuple rows per label.
     """
     lines = [s for s in map(str.strip, text.splitlines()) if s]
     if not lines or not lines[0].startswith(kind + " "):
@@ -125,7 +125,7 @@ def parse_rows(text, kind, optional, labels, noun, row_noun):
             if not sep or head.split() != [label, str(i)]:
                 raise MalformedFile(f"expected '{label} {i}: ...', got {line!r}")
             try:
-                row = list(map(int, rest.split()))
+                row = tuple(map(int, rest.split()))
             except ValueError:
                 raise MalformedFile(f"non-integer {noun} in {line!r}") from None
             if len(row) != n:
@@ -376,7 +376,7 @@ def birkhoff_round_trip(lat: ExplicitLattice):
     """Map every element to the set of join-irreducibles at or below it.
 
     Verifies the map is an order isomorphism onto the order ideals of the
-    join-irreducible sub-poset and returns (sub-poset, mapping).
+    join-irreducible sub-poset and returns that sub-poset.
     """
     jp = join_irreducibles(lat)
     if sorted(lat._irreducible_images[1]) != sorted(_ideal_masks(jp.down)):
@@ -387,5 +387,4 @@ def birkhoff_round_trip(lat: ExplicitLattice):
         for j, b in enumerate(els):
             if bool(lat.down[j] >> i & 1) != (below[i] & ~below[j] == 0):
                 raise NotALattice(f"order not preserved between {a} and {b}")
-    mapping = {x: frozenset(els[j] for j in _bits(below[i])) for i, x in enumerate(els)}
-    return jp, mapping
+    return jp

@@ -158,10 +158,8 @@ def gale_shapley(inst, proposing_side="men"):
         else:
             free.append(p)
     if proposing_side == "men":
-        wife = [-1] * n
-        for w, m in enumerate(holds):
-            wife[m] = w
-        return tuple(inst.men_rank[m][wife[m]] for m in range(n))
+        # a man is held by the last woman he proposed to
+        return tuple(c - 1 for c in next_choice)
     return tuple(inst.men_rank[m][holds[m]] for m in range(n))
 
 

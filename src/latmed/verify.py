@@ -294,7 +294,7 @@ def _gate(res, tag, vectors, rng_seed):
         for a, b in combinations(vectors, 2)
     )
     try:
-        report = check_median_theorem(vectors, rng_seed)
+        violations = check_median_theorem(vectors, rng_seed)
     except NotRegular:
         if regular:
             res.failures.append(f"{tag}: gate fired on a regular set")
@@ -303,7 +303,7 @@ def _gate(res, tag, vectors, rng_seed):
         return
     if not regular:
         res.failures.append(f"{tag}: gate missed an irregular set")
-    for family, j, g in report.violations:
+    for family, j, g in violations:
         res.failures.append(f"{tag}: median j={j} of {family} left the set: {g}")
 
 
@@ -436,7 +436,7 @@ def birkhoff_battery(max_elements):
     for name, lat in chain_product_lattices(max_elements) + fixed_lattices():
         res.checked += 1
         try:
-            jp, _ = birkhoff_round_trip(lat)
+            jp = birkhoff_round_trip(lat)
         except LatmedError as e:
             res.failures.append(f"{name}: {type(e).__name__}: {e}")
             continue

@@ -1,8 +1,9 @@
-"""Bipartite matching: the stack-based search against the recursive one."""
+"""Bipartite matching: the stack-based search against the recursive one, and
+the alternating search against a fixed point of its definition."""
 
 import random
 
-from latmed.bipartite import max_matching
+from latmed.bipartite import alternating_reachable, max_matching
 
 
 def recursive_max_matching(n_left, n_right, adj):
@@ -77,3 +78,36 @@ def test_extending_a_partial_matching_reaches_maximum_size():
         assert all(got_l[u] != -1 for u in range(n_left) if match_l[u] != -1)
         extended += n_left - match_l.count(-1) < size
     assert extended > 300  # most starts needed augmenting
+
+
+def alternating_closure(n_left, adj, match_l):
+    # oracle: grow both sets to a fixed point, straight from the definition;
+    # forward along any edge, backward from a right vertex only to the left
+    # vertex matched to it
+    left = {u for u in range(n_left) if match_l[u] == -1}
+    right = set()
+    while True:
+        grown_r = right | {v for u in left for v in adj[u]}
+        grown_l = left | {u for u in range(n_left) if match_l[u] in grown_r}
+        if (grown_l, grown_r) == (left, right):
+            return left, right
+        left, right = grown_l, grown_r
+
+
+def test_alternating_reachable_matches_its_definition():
+    rng = random.Random(23)
+    deficient = 0
+    for _ in range(1500):
+        n_left, n_right = rng.randint(0, 15), rng.randint(0, 15)
+        density = rng.random()
+        adj = [[v for v in range(n_right) if rng.random() < density] for _ in range(n_left)]
+        match_l, match_r = max_matching(n_left, n_right, adj)
+        got_l, got_r = alternating_reachable(n_left, adj, match_l, match_r)
+        assert (got_l, got_r) == alternating_closure(n_left, adj, match_l)
+        # Hall deficiency of a maximum matching: N(S) is exactly the right
+        # set reached, one short of S for every unmatched left vertex
+        unmatched = match_l.count(-1)
+        assert {v for u in got_l for v in adj[u]} == got_r
+        assert len(got_r) == len(got_l) - unmatched
+        deficient += unmatched > 0 and len(got_l) > unmatched
+    assert deficient > 300  # reached sets that hold matched left vertices too

@@ -87,6 +87,7 @@ def test_market_clear_golden_bytes(capsys):
 @pytest.mark.parametrize("argv, golden", [
     (["repro", "verify", "--instances", "8", "--trials", "3"], "verify8x3.json"),
     (["repro", "paper-example"], "paper_example.json"),
+    (["repro", "verify"], "verify_default.json"),
 ])
 def test_repro_golden_bytes(capsys, argv, golden):
     # a change in the order of random draws or in any battery's counts

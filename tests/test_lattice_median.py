@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latmed import lattice_median
 from latmed.errors import EmptyInput, JOutOfRange, NotRegular, ShapeMismatch
 from latmed.lattice_median import (
     EXHAUSTIVE_BOUND,
@@ -132,13 +133,29 @@ def test_check_regular_reports_first_violation():
     assert check_regular([(0, 0), (1, 0), (0, 1)]) == ((1, 0), (0, 1), "join")
 
 
-def test_theorem_check_exhaustive_counts():
-    cube = list(product((0, 1), repeat=2))
-    report = check_median_theorem(cube)
+@pytest.fixture
+def seen_families(monkeypatch):
+    # every family check_median_theorem hands to generalized_medians
+    seen = []
+    real = lattice_median.generalized_medians
+
+    def record(family):
+        seen.append(tuple(family))
+        return real(family)
+
+    monkeypatch.setattr(lattice_median, "generalized_medians", record)
+    return seen
+
+
+def test_theorem_check_exhaustive_counts(seen_families):
+    square = list(product((0, 1), repeat=2))
+    assert check_median_theorem(square) == ()
     # every nonempty subset: C(4,1) + C(4,2) + C(4,3) + C(4,4)
     assert THEOREM_K_MAX >= 4
-    assert report.subsets_checked == 4 + 6 + 4 + 1
-    assert report.violations == ()
+    assert len(seen_families) == 4 + 6 + 4 + 1
+    # 15 distinct nonempty subsets of a 4-element set are all of them
+    assert all(f and len(set(f)) == len(f) and set(f) <= set(square) for f in seen_families)
+    assert len({frozenset(f) for f in seen_families}) == 15
 
 
 def test_theorem_check_gate():
@@ -146,19 +163,33 @@ def test_theorem_check_gate():
         check_median_theorem([(1, 0), (0, 1)])
 
 
-def test_theorem_check_empty_set():
-    report = check_median_theorem([])
-    assert report.subsets_checked == 0 and report.violations == ()
+def test_theorem_check_empty_set(seen_families):
+    assert check_median_theorem([]) == ()
+    assert seen_families == []
 
 
-def test_theorem_check_sampled_path_is_deterministic():
+def test_theorem_check_sampled_path_is_deterministic(seen_families):
     grid = list(product(range(4), range(4)))
     assert len(grid) > EXHAUSTIVE_BOUND
     a = check_median_theorem(grid, rng_seed=7)
-    b = check_median_theorem(grid, rng_seed=7)
-    assert a == b
-    assert a.subsets_checked == THEOREM_TRIALS == 20
-    assert a.violations == ()  # a full grid is closed, so no violations
+    assert len(seen_families) == THEOREM_TRIALS == 20
+    assert all(1 <= len(f) <= THEOREM_K_MAX and set(f) <= set(grid) for f in seen_families)
+    assert a == check_median_theorem(grid, rng_seed=7) == ()  # a full grid is closed
+    assert seen_families[:THEOREM_TRIALS] == seen_families[THEOREM_TRIALS:]
+
+
+def test_theorem_check_reports_a_median_that_leaves_the_set(monkeypatch):
+    # force the lower median of one pair outside the (closed) square
+    square = list(product((0, 1), repeat=2))
+    real = lattice_median.generalized_medians
+    bad = ((0, 1), (1, 0))
+
+    def leaky(family):
+        got = real(family)
+        return [(5, 5)] + got[1:] if tuple(family) == bad else got
+
+    monkeypatch.setattr(lattice_median, "generalized_medians", leaky)
+    assert check_median_theorem(square) == ((bad, 1, (5, 5)),)
 
 
 def test_invariant_failure_messages():

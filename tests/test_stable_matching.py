@@ -265,6 +265,16 @@ def test_gale_shapley_single_pair():
     assert gale_shapley(inst, "women") == (0,)
 
 
+def test_men_proposing_builds_no_men_rank_table():
+    # each man ends with the last woman he proposed to, so his rank is read
+    # off his proposal pointer; only the women's table decides proposals
+    inst = parse_instance("smp 3\nman 0: 0 1 2\nman 1: 1 0 2\nman 2: 0 1 2\n"
+                          "woman 0: 1 0 2\nwoman 1: 0 1 2\nwoman 2: 0 1 2\n")
+    assert all(type(row) is tuple for row in inst.men_prefs + inst.women_prefs)
+    assert gale_shapley(inst, "men") == (0, 0, 2)
+    assert "men_rank" not in vars(inst) and "women_rank" in vars(inst)
+
+
 def test_gale_shapley_rejects_bad_side():
     inst = smp_instance([[0]], [[0]])
     with pytest.raises(ValueError):
