@@ -45,6 +45,7 @@ from time import perf_counter
 from latmed import lattice_median as lm, market_clearing as mc, order_core as oc
 from latmed import stable_matching as sm
 from latmed.verify import (VerifyConfig, birkhoff_battery, block_swap_instance,
+                           chain_product_lattices, fixed_lattices,
                            random_market_instance, random_smp_instance,
                            regularity_gate_battery)
 
@@ -74,7 +75,10 @@ smps = [random_smp_instance(rng, rng.randint(cfg.smp_n_min, cfg.smp_n_max))
         for _ in range(cfg.smp_instances)] + [block_swap_instance(4)]
 proposers = random_smp_instance(rng, 1000)
 chain = oc.poset_from_covers(range(1200), [(i, i + 1) for i in range(1199)])
-catalog = birkhoff_battery(cfg.birkhoff_max_elements).checked
+vector_sets = [lat.elements for _, lat in
+               chain_product_lattices(cfg.birkhoff_max_elements) + fixed_lattices()]
+lattices = [oc.explicit_lattice(v) for v in vector_sets]
+catalog = f"{len(vector_sets)} catalog lattices of up to {cfg.birkhoff_max_elements} elements"
 smp_text, market_text = sm.serialize_instance(smp), mc.serialize_market(market)
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
@@ -104,9 +108,11 @@ print(json.dumps({
     "parse_market": timed("the n = 200 market's text", lambda: mc.parse_market(market_text)),
     "parse_instance": timed("the n = 400 instance's text",
                             lambda: sm.parse_instance(smp_text)),
-    "birkhoff_battery": timed(
-        f"{catalog} catalog lattices of up to {cfg.birkhoff_max_elements} elements",
-        lambda: birkhoff_battery(cfg.birkhoff_max_elements)),
+    "birkhoff_battery": timed(catalog, lambda: birkhoff_battery(cfg.birkhoff_max_elements)),
+    "explicit_lattice": timed(f"the vector sets of the {catalog}",
+                              lambda: [oc.explicit_lattice(v) for v in vector_sets]),
+    "birkhoff_round_trip": timed(catalog,
+                                 lambda: [oc.birkhoff_round_trip(lat) for lat in lattices]),
     "regularity_gate_battery": timed(
         f"{cfg.gate_trials} trials from a generator of their own",
         lambda: regularity_gate_battery(random.Random(seed), cfg.gate_trials)),

@@ -5,8 +5,10 @@ all satisfy a predicate whose satisfying set is closed under meet and
 join, then so does every coordinatewise order statistic of the family.
 `lattice_median` implements the construction over count vectors,
 `order_core` supplies the Birkhoff encoding that justifies the vector
-view (its explicit lattices are built from count vectors alone), and `stable_matching` / `market_clearing` instantiate it on two
-concrete lattices. Stable matchings are enumerated by walking rotations
+view on its one order type, `Poset` (built from cover pairs, or from
+count vectors checked to form a distributive lattice), and
+`stable_matching` / `market_clearing` instantiate it on two concrete
+lattices. Stable matchings are enumerated by walking rotations
 up from the men-optimal matching; the brute-force search over perfect
 matchings is kept in the tests as the oracle.
 """
@@ -19,7 +21,6 @@ from .lattice_median import (
     medians_via_meet_join,
 )
 from .order_core import (
-    ExplicitLattice,
     Poset,
     all_ideals,
     birkhoff_round_trip,
@@ -35,7 +36,6 @@ from .order_core import (
 from .verify import VerifyConfig, verify_suite
 
 __all__ = [
-    "ExplicitLattice",
     "LatmedError",
     "Poset",
     "VerifyConfig",
@@ -49,8 +49,8 @@ __all__ = [
     "generalized_medians",
     "join",
     "join_irreducibles",
-    "meet",
     "medians_via_meet_join",
+    "meet",
     "parse_vector",
     "poset_from_covers",
     "verify_suite",

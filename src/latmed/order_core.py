@@ -3,7 +3,11 @@
 Elements of a finite distributive lattice are encoded as vectors of
 per-chain prefix counts over a chain partition of its poset of
 join-irreducibles (Birkhoff representation). Count vectors are plain
-tuples of ints throughout; meet and join are componentwise min and max.
+tuples of ints throughout. Componentwise min and max are the meet and
+join of count vectors, not of every explicit lattice: one given as
+indicator vectors, or the square (0,0) < (1,2), (2,1) < (2,2), has its
+own meets and joins, read off its masks (there the meet of (1,2) and
+(2,1) is (0,0), not the componentwise (1,1), which is no element).
 
 Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely across threads.
@@ -152,8 +156,9 @@ class Poset:
     """Finite partial order over opaque labels, stored as down-set bitmasks.
 
     Bit j of `down[i]` is set exactly when elements[j] <= elements[i], so
-    every mask holds its own bit. `poset_from_covers` builds and validates
-    one; everything else is read off the masks.
+    every mask holds its own bit. It has two builders: `poset_from_covers`
+    from cover pairs, and `explicit_lattice` from count vectors, checked
+    to form a distributive lattice. Everything else is read off the masks.
     """
 
     elements: tuple
@@ -280,47 +285,32 @@ def all_ideals(poset: Poset, chains):
 # explicit lattices
 
 
-class ExplicitLattice(Poset):
-    """Finite distributive lattice of count vectors, stored as down masks.
+def _irreducible_images(down):
+    """The join-irreducibles' indices, ascending, and per element its
+    Birkhoff image: the mask of the irreducibles at or below it, with bit
+    k standing for the k-th irreducible.
 
-    Build one with `explicit_lattice`, which checks that every pair has a
-    unique meet and join and that the lattice is distributive. In a lattice
-    the down mask of meet(a, b) is down(a) & down(b), and the up mask of
-    join(a, b) is up(a) & up(b).
+    x is join-irreducible exactly when the elements strictly below x have
+    a greatest one y, i.e. when down(x) without x is down(y); a bottom
+    never qualifies, as no down mask is empty.
     """
-
-    @cached_property
-    def _by_up(self):
-        return {m: i for i, m in enumerate(self.up)}
-
-    @cached_property
-    def _irreducibles_below(self):
-        # Per element, the mask of the join-irreducibles at or below it. x
-        # is join-irreducible exactly when the elements strictly below x
-        # have a greatest one y, i.e. when down(x) without x is down(y); the
-        # bottom never qualifies, as no down mask is empty.
-        downs = set(self.down)
-        irr = sum(1 << i for i, d in enumerate(self.down) if d ^ (1 << i) in downs)
-        return tuple(d & irr for d in self.down)
-
-    @cached_property
-    def _irreducible_images(self):
-        # The join-irreducibles' indices, ascending, and per element the
-        # mask of the irreducibles at or below it with bit k standing for
-        # the k-th irreducible: its Birkhoff image, an ideal of J(L).
-        below = self._irreducibles_below
-        members = [i for i, b in enumerate(below) if b >> i & 1]
-        pos = {i: k for k, i in enumerate(members)}
-        return members, tuple(sum(1 << pos[j] for j in _bits(b)) for b in below)
+    downs = set(down)
+    members = [i for i, d in enumerate(down) if d ^ (1 << i) in downs]
+    images = [0] * len(down)
+    for k, i in enumerate(members):
+        images = [m | (d >> i & 1) << k for m, d in zip(images, down)]
+    return members, images
 
 
-def explicit_lattice(vectors) -> ExplicitLattice:
-    """ExplicitLattice over distinct count vectors, ordered componentwise.
+def explicit_lattice(vectors) -> Poset:
+    """Distinct count vectors under the componentwise order, as a Poset
+    checked to be a distributive lattice.
 
-    Componentwise <= on distinct vectors is a partial order, so what is
-    checked is that every pair has a unique meet and join and that the
-    lattice is distributive. Any finite lattice can be given this way, as
-    the 0/1 indicator vectors of its elements' down-sets.
+    Any finite lattice can be given as the 0/1 indicator vectors of its
+    elements' down-sets. One pass over the pairs checks each for a unique
+    meet (its common lower bounds are one element's down mask), then a
+    unique join (likewise with up masks), then Birkhoff's distributivity
+    test: the join's image is the union of the two images.
     """
     vectors = tuple(vector_family(vectors))
     if len(set(vectors)) != len(vectors):
@@ -329,62 +319,49 @@ def explicit_lattice(vectors) -> ExplicitLattice:
     for (i, u), (j, v) in product(enumerate(vectors), repeat=2):
         if all(map(le, u, v)):
             down[j] |= 1 << i
-    lat = ExplicitLattice(elements=vectors, down=tuple(down))
-    _check_bounds(vectors, lat.down, "meet")
-    _check_bounds(vectors, lat.up, "join")
-    _check_distributive(lat)
-    return lat
-
-
-def _check_bounds(elements, masks, kind):
-    # a pair has a unique meet exactly when its common lower bounds are the
-    # down mask of one element; joins likewise with up masks
-    known = set(masks)
-    for i, m in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if m & masks[j] not in known:
-                raise NotALattice(
-                    f"no unique {kind} for ({elements[i]}, {elements[j]})"
-                )
-
-
-def _check_distributive(lat):
-    # Birkhoff: a finite lattice is distributive exactly when x -> J(x), the
-    # join-irreducibles at or below x, turns every join into a union.
-    below = lat._irreducibles_below
-    up, by_up = lat.up, lat._by_up
-    for i, a in enumerate(lat.elements):
-        for j in range(i + 1, len(up)):
-            if below[by_up[up[i] & up[j]]] != below[i] | below[j]:
-                b = lat.elements[j]
+    lat = Poset(elements=vectors, down=tuple(down))
+    up, downs = lat.up, set(down)
+    by_up = {m: i for i, m in enumerate(up)}
+    images = _irreducible_images(down)[1]
+    for i, a in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            b = vectors[j]
+            if down[i] & down[j] not in downs:
+                raise NotALattice(f"no unique meet for ({a}, {b})")
+            k = by_up.get(up[i] & up[j])
+            if k is None:
+                raise NotALattice(f"no unique join for ({a}, {b})")
+            if images[k] != images[i] | images[j]:
                 raise NotDistributive(
                     f"join-irreducibles below {a} v {b} are not those below "
                     f"{a} or {b}"
                 )
+    return lat
 
 
-def join_irreducibles(lat: ExplicitLattice) -> Poset:
-    """Sub-poset of elements with exactly one lower cover in the lattice."""
-    members, images = lat._irreducible_images
+def join_irreducibles(poset: Poset) -> Poset:
+    """Sub-poset of the elements with exactly one lower cover."""
+    members, images = _irreducible_images(poset.down)
     return Poset(
-        elements=tuple(lat.elements[i] for i in members),
+        elements=tuple(poset.elements[i] for i in members),
         down=tuple(images[i] for i in members),
     )
 
 
-def birkhoff_round_trip(lat: ExplicitLattice):
+def birkhoff_round_trip(poset: Poset):
     """Map every element to the set of join-irreducibles at or below it.
 
     Verifies the map is an order isomorphism onto the order ideals of the
-    join-irreducible sub-poset and returns that sub-poset.
+    join-irreducible sub-poset, which holds exactly when the poset is a
+    finite distributive lattice, and returns that sub-poset.
     """
-    jp = join_irreducibles(lat)
-    if sorted(lat._irreducible_images[1]) != sorted(_ideal_masks(jp.down)):
+    jp = join_irreducibles(poset)
+    images = _irreducible_images(poset.down)[1]
+    if sorted(images) != sorted(_ideal_masks(jp.down)):
         raise NotALattice("element-to-ideal map is not a bijection onto the ideals")
-    below = lat._irreducibles_below
-    els = lat.elements
+    els = poset.elements
     for i, a in enumerate(els):
         for j, b in enumerate(els):
-            if bool(lat.down[j] >> i & 1) != (below[i] & ~below[j] == 0):
+            if bool(poset.down[j] >> i & 1) != (images[i] & ~images[j] == 0):
                 raise NotALattice(f"order not preserved between {a} and {b}")
     return jp

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latmed
 from latmed import order_core
 from latmed.errors import (
     CycleDetected,
@@ -20,7 +21,6 @@ from latmed.errors import (
     UnknownLabel,
 )
 from latmed.order_core import (
-    ExplicitLattice,
     all_ideals,
     birkhoff_round_trip,
     chain_partition,
@@ -406,10 +406,30 @@ def test_explicit_lattice_meets_joins_componentwise():
                 assert up[idx[join(a, b)]] == up[idx[a]] & up[idx[b]]
 
 
+def refusal(vectors):
+    # the exception explicit_lattice raises, as (class, message)
+    with pytest.raises((NotALattice, NotDistributive)) as info:
+        explicit_lattice(vectors)
+    return type(info.value), str(info.value)
+
+
 def test_explicit_lattice_rejects_non_lattice():
-    # two incomparable elements with no common lower bound
-    with pytest.raises(NotALattice):
-        explicit_lattice([(1, 0), (0, 1)])
+    # two incomparable elements with no common lower bound, then with a
+    # common lower bound but no common upper bound
+    assert refusal([(1, 0), (0, 1)]) == (
+        NotALattice, "no unique meet for ((1, 0), (0, 1))")
+    assert refusal([(0, 0), (1, 0), (0, 1)]) == (
+        NotALattice, "no unique join for ((1, 0), (0, 1))")
+
+
+def test_explicit_lattice_meets_are_read_off_the_masks():
+    # a lattice under the componentwise order that is not closed under
+    # componentwise min: the meet of (1, 2) and (2, 1) is the bottom
+    square = [(0, 0), (1, 2), (2, 1), (2, 2)]
+    lat = explicit_lattice(square)
+    assert join_irreducibles(lat).elements == ((1, 2), (2, 1))
+    assert lat.down[1] & lat.down[2] == lat.down[0]
+    assert meet((1, 2), (2, 1)) == (1, 1) and (1, 1) not in lat.elements
 
 
 def test_explicit_lattice_refuses_empty_and_duplicate_input():
@@ -423,6 +443,12 @@ def test_explicit_lattice_rejects_diamond():
     for elements, pairs in (DIAMOND, times_two_chain(*DIAMOND)):
         family = down_set_masks(elements, pairs)
         assert not check_distributivity_verdict(family, len(elements))
+    # the first pair refused, in the indicator vectors of bot, p, q, r, top
+    assert refusal(indicator_vectors(down_set_masks(*DIAMOND), 5)) == (
+        NotDistributive,
+        "join-irreducibles below (1, 1, 0, 0, 0) v (1, 0, 1, 0, 0) are not "
+        "those below (1, 1, 0, 0, 0) or (1, 0, 1, 0, 0)",
+    )
 
 
 def test_explicit_lattice_rejects_pentagon():
@@ -503,20 +529,45 @@ def test_birkhoff_round_trip_running_example():
     assert len(jp.elements) == 4  # recovers a four-element generator poset
 
 
+def test_birkhoff_round_trip_of_a_poset_from_covers():
+    # the 2 x 3 grid given by its covers, not by count vectors
+    grid = [(i, j) for i in range(2) for j in range(3)]
+    covers = [((i, j), (i + 1, j)) for i, j in grid if i < 1]
+    covers += [((i, j), (i, j + 1)) for i, j in grid if j < 2]
+    lat = poset_from_covers(grid, covers)
+    irreducibles = ((0, 1), (0, 2), (1, 0))
+    assert join_irreducibles(lat).elements == irreducibles
+    assert birkhoff_round_trip(lat).elements == irreducibles
+
+
 def test_birkhoff_round_trip_refuses_non_distributive_lattices():
-    # built directly, without explicit_lattice's checks: M3 has three
-    # irreducible atoms (8 ideals) for 5 elements, N5 the irreducibles a
-    # and b < c (6 ideals); the bowtie, no lattice at all, maps both its
-    # maxima to the ideal {a, b}
+    # M3 has three irreducible atoms (8 ideals) for 5 elements, N5 the
+    # irreducibles a and b < c (6 ideals); the bowtie, no lattice at all,
+    # maps both its maxima to the ideal {a, b}
     bowtie = (
         ["bot", "a", "b", "c", "d"],
         [("bot", x) for x in "abcd"] + [(x, y) for x in "ab" for y in "cd"],
     )
-    for elements, pairs in (DIAMOND, PENTAGON, bowtie):
-        idx = {x: i for i, x in enumerate(elements)}
-        down = [1 << i for i in range(len(elements))]
-        for lo, hi in pairs:
-            down[idx[hi]] |= 1 << idx[lo]
-        lat = ExplicitLattice(elements=tuple(elements), down=tuple(down))
+    for elements, covers in (DIAMOND, PENTAGON, bowtie):
         with pytest.raises(NotALattice, match="not a bijection"):
-            birkhoff_round_trip(lat)
+            birkhoff_round_trip(poset_from_covers(elements, covers))
+
+
+def test_birkhoff_round_trip_checks_the_order_beyond_the_bijection():
+    # 0 < a, b, c; x > a, b; u > a, c; v > b, c; y > a, b, c and above none
+    # of x, u, v. The images of the 8 elements are the 8 ideals of the
+    # antichain {a, b, c}, yet x's image lies below y's while x is not
+    # below y
+    covers = [("0", z) for z in "abc"] + [
+        (lo, hi) for hi, los in (("x", "ab"), ("u", "ac"), ("v", "bc"), ("y", "abc"))
+        for lo in los
+    ]
+    poset = poset_from_covers(["0", "a", "b", "c", "x", "u", "v", "y"], covers)
+    assert join_irreducibles(poset).elements == ("a", "b", "c")
+    with pytest.raises(NotALattice, match="^order not preserved between x and y$"):
+        birkhoff_round_trip(poset)
+
+
+def test_public_names_resolve_sorted_and_unique():
+    assert all(hasattr(latmed, name) for name in latmed.__all__)
+    assert latmed.__all__ == sorted(set(latmed.__all__))
