@@ -80,6 +80,9 @@ vector_sets = [lat.elements for _, lat in
 lattices = [oc.explicit_lattice(v) for v in vector_sets]
 catalog = f"{len(vector_sets)} catalog lattices of up to {cfg.birkhoff_max_elements} elements"
 smp_text, market_text = sm.serialize_instance(smp), mc.serialize_market(market)
+clearing = mc.min_clearing_prices(market)
+below = list(clearing)
+below[next(j for j, x in enumerate(clearing) if x > 0)] -= 1
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
         f"{len(markets)} markets, n {cfg.market_n_min}-{cfg.market_n_max}, "
@@ -106,6 +109,11 @@ print(json.dumps({
                           lambda: sm.smp_instance(proposers.men_prefs, proposers.women_prefs)),
     "chain_partition": timed("a 1200-element chain", lambda: oc.chain_partition(chain)),
     "parse_market": timed("the n = 200 market's text", lambda: mc.parse_market(market_text)),
+    "is_market_clearing": timed("the n = 200 market at its minimum clearing prices",
+                                lambda: mc.is_market_clearing(market, clearing)),
+    "is_market_clearing_below": timed(
+        "the n = 200 market one unit below its minimum on the first positive price",
+        lambda: mc.is_market_clearing(market, below)),
     "parse_instance": timed("the n = 400 instance's text",
                             lambda: sm.parse_instance(smp_text)),
     "birkhoff_battery": timed(catalog, lambda: birkhoff_battery(cfg.birkhoff_max_elements)),

@@ -93,14 +93,14 @@ def _demands(inst, prices):
 def is_market_clearing(inst, prices):
     """Does the demand graph at these prices have a perfect matching?"""
     p = _check_prices(inst, prices)
-    match_l, _ = bipartite.max_matching(inst.n, inst.n, _demands(inst, p))
+    match_l = bipartite.max_matching(inst.n, inst.n, _demands(inst, p))[0]
     return -1 not in match_l
 
 
 def clearing_matching(inst, prices):
     """One perfect matching supporting clearing prices, as buyer->item."""
     p = _check_prices(inst, prices)
-    match_l, _ = bipartite.max_matching(inst.n, inst.n, _demands(inst, p))
+    match_l = bipartite.max_matching(inst.n, inst.n, _demands(inst, p))[0]
     if -1 in match_l:
         raise NotClearingInput(f"{p} does not clear the market")
     return tuple(match_l)
@@ -109,17 +109,17 @@ def clearing_matching(inst, prices):
 def min_clearing_prices(inst):
     """Componentwise minimum clearing price vector, by ascending auction.
 
-    While some buyer is unmatched, take the buyers S and items R reachable
-    from unmatched buyers by alternating paths in the demand graph. R is
-    overdemanded: every buyer in S demands only items in R. Each price in
-    R rises by the least gap over S, a buyer's gap being its best payoff
-    minus its best payoff outside R. This is the unit-step ascending
-    auction (Demange, Gale and Sotomayor 1986) with each run of rounds that
-    find the same R merged into one, as no demand list gains an item below
-    the gap. The running vector never exceeds any clearing vector in any
-    coordinate, so the result is the minimum, which has a zero price:
-    buyers have no outside option, so lowering every price by one keeps
-    every demand set.
+    While some buyer is unmatched, take the items R the matcher reached by
+    alternating paths from unmatched buyers, and the buyers S unmatched or
+    matched into R. R is overdemanded: every buyer in S demands only items
+    in R. Each price in R rises by the least gap over S, a buyer's gap
+    being its best payoff minus its best payoff outside R. This is the
+    unit-step ascending auction (Demange, Gale and Sotomayor 1986) with each
+    run of rounds that find the same R merged into one, as no demand list
+    gains an item below the gap. The running vector never exceeds any
+    clearing vector in any coordinate, so the result is the minimum, which
+    has a zero price: buyers have no outside option, so lowering every
+    price by one keeps every demand set.
 
     Rounds are incremental. After a raise, a buyer outside S drops the
     items in R, keeping its matched item; a buyer in S whose gap was the
@@ -137,11 +137,11 @@ def min_clearing_prices(inst):
     demands = _demands(inst, p)
     matching = None
     for _ in range(n * (n + 1) + 1):
-        matching = bipartite.max_matching(n, n, demands, matching)
-        match_l, match_r = matching
+        match_l, match_r, raised = bipartite.max_matching(n, n, demands, matching)
         if -1 not in match_l:
             break
-        reached, raised = bipartite.alternating_reachable(n, demands, match_l, match_r)
+        matching = match_l, match_r
+        reached = [u for u, j in enumerate(match_l) if j == -1 or j in raised]
         outside = [j not in raised for j in range(n)]
         p_outside = list(compress(p, outside))
         gaps = {}

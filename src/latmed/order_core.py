@@ -232,7 +232,7 @@ def chain_partition(poset: Poset):
     """
     n = len(poset.elements)
     adj = [list(_bits(u ^ (1 << i))) for i, u in enumerate(poset.up)]
-    match_l, match_r = bipartite.max_matching(n, n, adj)
+    match_l, match_r, _ = bipartite.max_matching(n, n, adj)
 
     chains = []
     for i, x in enumerate(poset.elements):

@@ -37,7 +37,7 @@ def test_matches_recursive_kuhn_on_random_graphs():
             [v for v in rng.sample(range(n_right), n_right) if rng.random() < density]
             for _ in range(n_left)
         ]
-        got = max_matching(n_left, n_right, adj)
+        got = max_matching(n_left, n_right, adj)[:2]
         assert got == recursive_max_matching(n_left, n_right, adj)
         unmatched += -1 in got[0]
     assert unmatched > 100  # deficient graphs are exercised too
@@ -49,9 +49,20 @@ def test_long_augmenting_path_does_not_recurse():
     # augmenting path through all 2n vertices
     n = 3000
     adj = [[u, u + 1] for u in range(n - 1)] + [[0]]
-    match_l, match_r = max_matching(n, n, adj)
+    match_l, match_r = max_matching(n, n, adj)[:2]
     assert match_l == list(range(1, n)) + [0]
     assert match_r == [n - 1] + list(range(n - 1))
+
+
+def greedy_start(rng, n_left, n_right, adj):
+    # a random greedy matching on the graph's own edges
+    match_l, match_r = [-1] * n_left, [-1] * n_right
+    for u in rng.sample(range(n_left), n_left):
+        free = [v for v in adj[u] if match_r[v] == -1]
+        if free and rng.random() < 0.7:
+            v = rng.choice(free)
+            match_l[u], match_r[v] = v, u
+    return match_l, match_r
 
 
 def test_extending_a_partial_matching_reaches_maximum_size():
@@ -62,15 +73,9 @@ def test_extending_a_partial_matching_reaches_maximum_size():
         density = rng.random()
         adj = [[v for v in range(n_right) if rng.random() < density] for _ in range(n_left)]
         size = n_left - max_matching(n_left, n_right, adj)[0].count(-1)
-        # a random greedy matching on the graph's own edges
-        match_l, match_r = [-1] * n_left, [-1] * n_right
-        for u in rng.sample(range(n_left), n_left):
-            free = [v for v in adj[u] if match_r[v] == -1]
-            if free and rng.random() < 0.7:
-                v = rng.choice(free)
-                match_l[u], match_r[v] = v, u
+        match_l, match_r = greedy_start(rng, n_left, n_right, adj)
         start = (list(match_l), list(match_r))
-        got_l, got_r = max_matching(n_left, n_right, adj, start)
+        got_l, got_r = max_matching(n_left, n_right, adj, start)[:2]
         assert start == (match_l, match_r)  # the start is not modified
         assert n_left - got_l.count(-1) == size
         assert all(v == -1 or (v in adj[u] and got_r[v] == u) for u, v in enumerate(got_l))
@@ -101,7 +106,7 @@ def test_alternating_reachable_matches_its_definition():
         n_left, n_right = rng.randint(0, 15), rng.randint(0, 15)
         density = rng.random()
         adj = [[v for v in range(n_right) if rng.random() < density] for _ in range(n_left)]
-        match_l, match_r = max_matching(n_left, n_right, adj)
+        match_l, match_r = max_matching(n_left, n_right, adj)[:2]
         got_l, got_r = alternating_reachable(n_left, adj, match_l, match_r)
         assert (got_l, got_r) == alternating_closure(n_left, adj, match_l)
         # Hall deficiency of a maximum matching: N(S) is exactly the right
@@ -111,3 +116,20 @@ def test_alternating_reachable_matches_its_definition():
         assert len(got_r) == len(got_l) - unmatched
         deficient += unmatched > 0 and len(got_l) > unmatched
     assert deficient > 300  # reached sets that hold matched left vertices too
+
+
+def test_failed_searches_give_the_alternating_reach():
+    # the auction always hands the matcher a partial matching to extend, so
+    # most draws start from a greedy one; the third value must be the right
+    # set of the alternating closure of the matching returned
+    rng = random.Random(29)
+    partial = 0
+    for _ in range(1500):
+        n_left, n_right = rng.randint(0, 15), rng.randint(0, 15)
+        density = rng.random()
+        adj = [[v for v in range(n_right) if rng.random() < density] for _ in range(n_left)]
+        start = greedy_start(rng, n_left, n_right, adj) if rng.random() < 0.8 else None
+        match_l, _, reached = max_matching(n_left, n_right, adj, start)
+        assert reached == alternating_closure(n_left, adj, match_l)[1]
+        partial += start is not None and match_l.count(-1) > 1 and bool(reached)
+    assert partial > 300  # several failed searches after a partial start

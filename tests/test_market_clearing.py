@@ -247,7 +247,7 @@ def rebuilding_auction(inst):
         demands = argmax_demands(inst, p)
         assert _demands(inst, p) == demands
         rounds.append(demands)
-        match_l, match_r = bipartite.max_matching(n, n, demands)
+        match_l, match_r = bipartite.max_matching(n, n, demands)[:2]
         if -1 not in match_l:
             break
         _, seen_r = bipartite.alternating_reachable(n, demands, match_l, match_r)
@@ -270,7 +270,7 @@ def exact_step_auction(inst):
     for _ in range(n * (n + 1) + 1):
         demands = argmax_demands(inst, p)
         rounds.append(demands)
-        match_l, match_r = bipartite.max_matching(n, n, demands)
+        match_l, match_r = bipartite.max_matching(n, n, demands)[:2]
         if -1 not in match_l:
             break
         seen_l, seen_r = bipartite.alternating_reachable(n, demands, match_l, match_r)
@@ -286,7 +286,7 @@ def exact_step_auction(inst):
 
 def auction_rounds(monkeypatch, inst):
     # the incremental auction's prices and the demand lists it hands the
-    # matcher, one entry per round
+    # matcher, one entry per round; the matcher is its only graph search
     seen = []
     cold = bipartite.max_matching
 
@@ -294,7 +294,11 @@ def auction_rounds(monkeypatch, inst):
         seen.append([list(row) for row in adj])
         return cold(n_left, n_right, adj, start)
 
+    def second_search(*args):
+        raise AssertionError("the auction searched a demand graph twice in a round")
+
     monkeypatch.setattr(bipartite, "max_matching", recording)
+    monkeypatch.setattr(bipartite, "alternating_reachable", second_search)
     try:
         return min_clearing_prices(inst), seen
     finally:
