@@ -42,7 +42,7 @@ LAYER_PROCESSES = 5  # layer-script runs per side
 LAYERS = r"""
 import json, random, statistics, sys
 from time import perf_counter
-from latmed import lattice_median as lm, market_clearing as mc, order_core as oc
+from latmed import cli, lattice_median as lm, market_clearing as mc, order_core as oc
 from latmed import stable_matching as sm
 from latmed.verify import (VerifyConfig, birkhoff_battery, block_swap_instance,
                            chain_product_lattices, fixed_lattices,
@@ -83,6 +83,17 @@ smp_text, market_text = sm.serialize_instance(smp), mc.serialize_market(market)
 clearing = mc.min_clearing_prices(market)
 below = list(clearing)
 below[next(j for j, x in enumerate(clearing) if x > 0)] -= 1
+# uniform shifts of a clearing vector keep every demand set, so they clear
+room = market.price_cap - max(clearing)
+clearing_family = [tuple(p + c for p in clearing) for c in (0, room // 2, room)]
+
+
+def serialized_source(text):  # a CLI that hashes every market file's serialization
+    inst = mc.parse_market(text)
+    return inst, mc.serialize_market(inst)
+
+
+market_source = getattr(cli, "_market_source", serialized_source)
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
         f"{len(markets)} markets, n {cfg.market_n_min}-{cfg.market_n_max}, "
@@ -114,6 +125,12 @@ print(json.dumps({
     "is_market_clearing_below": timed(
         "the n = 200 market one unit below its minimum on the first positive price",
         lambda: mc.is_market_clearing(market, below)),
+    "median_clearing": timed(
+        "the n = 200 market, j = 2 of its minimum clearing prices and two uniform shifts",
+        lambda: mc.median_clearing(market, clearing_family, 2)),
+    "market_digest_source": timed(
+        "the n = 200 market's canonical text, read and its digest source taken",
+        lambda: market_source(market_text)),
     "parse_instance": timed("the n = 400 instance's text",
                             lambda: sm.parse_instance(smp_text)),
     "birkhoff_battery": timed(catalog, lambda: birkhoff_battery(cfg.birkhoff_max_elements)),

@@ -4,7 +4,8 @@ Every invocation prints a deterministic report: result lines, then
 violation lines. With --json the same report is emitted as one JSON
 object {command, digest, results, violations, seed}. The digest is the
 first 12 hex chars of sha256 over the canonical serialization of the
-inputs, so identical inputs are recognizable across runs. Exit status: 0
+inputs, so identical inputs are recognizable across runs; a market file
+that is already canonical is hashed as read. Exit status: 0
 clean, 1 for violations or domain errors (reported by error class name),
 2 for usage errors.
 """
@@ -122,12 +123,19 @@ def cmd_smp_verify(ns):
 
 # --- market ------------------------------------------------------------
 
+def _market_source(text):
+    """The market a text holds, and the text its digest is taken over: the
+    text itself when it is already what serialize_market prints."""
+    inst = mc.parse_market(text)
+    return inst, text if mc.CANONICAL_MARKET.fullmatch(text) else mc.serialize_market(inst)
+
+
 def _read_market(path):
-    return mc.parse_market(Path(path).read_text())
+    return _market_source(Path(path).read_text())
 
 
 def cmd_market_clear(ns):
-    inst = _read_market(ns.file)
+    inst, src = _read_market(ns.file)
     prices = mc.min_clearing_prices(inst)
     # the auction's own matching depends on the rounds it took; a cold
     # matching on the final demand sets is the one the report prints
@@ -136,27 +144,26 @@ def cmd_market_clear(ns):
         f"prices: {format_vector(prices)}",
         "matching: " + " ".join(f"{i}-{j}" for i, j in enumerate(assignment)),
     ]
-    return mc.serialize_market(inst), lines, []
+    return src, lines, []
 
 
 def cmd_market_enumerate(ns):
-    inst = _read_market(ns.file)
+    inst, src = _read_market(ns.file)
     clearing = mc.enumerate_clearing_vectors(inst)
-    return mc.serialize_market(inst), [format_vector(p) for p in clearing], []
+    return src, [format_vector(p) for p in clearing], []
 
 
 def cmd_market_median(ns):
-    inst = _read_market(ns.file)
+    inst, src = _read_market(ns.file)
     prices = _read_vectors(ns.prices)
     med = mc.median_clearing(inst, prices, ns.j)
-    src = mc.serialize_market(inst) + _vectors_text(prices)
-    return src, [format_vector(med)], []
+    return src + _vectors_text(prices), [format_vector(med)], []
 
 
 def cmd_market_verify(ns):
-    inst = _read_market(ns.file)
+    inst, src = _read_market(ns.file)
     p = parse_vector(ns.prices)
-    src = mc.serialize_market(inst) + format_vector(p) + "\n"
+    src += format_vector(p) + "\n"
     if mc.is_market_clearing(inst, p):
         return src, ["clearing"], []
     return src, [], ["not-clearing"]

@@ -16,6 +16,7 @@ these difference constraints, without building a demand graph.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, sub
@@ -67,6 +68,15 @@ def serialize_market(inst):
     for i, row in enumerate(inst.valuations):
         lines.append(f"buyer {i}: " + " ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+# Exactly the texts serialize_market prints, among those parse_market
+# accepts: each integer in its shortest ASCII spelling, one space between
+# tokens, the cap present and every line ending in "\n". The parser checks
+# the counts and indices left open here. Every repeat is possessive, so a
+# failed match never backtracks into a row.
+_INT = r"(?:0|[1-9][0-9]*+)"
+CANONICAL_MARKET = re.compile(rf"market [1-9][0-9]*+ {_INT}\n(?:buyer {_INT}:(?: {_INT})++\n)++")
 
 
 def _check_prices(inst, prices):
@@ -268,9 +278,24 @@ def enumerate_clearing_vectors(inst):
 
 
 def median_clearing(inst, price_vectors, j):
-    """j-th (1-indexed) median of clearing price vectors, checked to clear."""
+    """j-th (1-indexed) median of clearing price vectors, checked to clear.
+
+    A clearing vector supports every maximum-value assignment (Shapley and
+    Shubik 1971), and a perfect matching mu of one clearing vector's demand
+    graph is such an assignment: each buyer's payoff under mu is its best,
+    and every assignment pays the same total price. So, with mu taken from
+    the first vector's demand graph, a later vector or the median clears
+    exactly when each buyer's mu-item is among its best payoffs there: one
+    max per row, with no demand lists and no matcher.
+    """
     ps = [_check_prices(inst, p) for p in price_vectors]
-    return checked_median(
-        ps, j, lambda p: is_market_clearing(inst, p),
-        lambda p: NotClearingInput(f"{p} does not clear the market"),
-    )
+    first = ps[0] if ps else None
+    mu = clearing_matching(inst, first) if ps else ()  # refuses a first vector that does not clear
+    vals = inst.valuations
+
+    def clears(p):
+        return p == first or all(row[k] - p[k] == max(map(sub, row, p))
+                                 for row, k in zip(vals, mu))
+
+    return checked_median(ps, j, clears,
+                          lambda p: NotClearingInput(f"{p} does not clear the market"))

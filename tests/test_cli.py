@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output bytes, exit codes, JSON envelope."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -246,14 +247,56 @@ def test_json_envelope(capsys):
     assert len(payload["digest"]) == 12
 
 
+def market60_twins():
+    """Other spellings of market60.txt that parse to the same market."""
+    text = Path(MARKET60).read_text()
+    header, row0, rest = text.split("\n", 2)
+    label, values = row0.split(": ")
+    first, others = values.split(" ", 1)  # 78, a two-digit value
+
+    def spelled(v):
+        return "\n".join([header, f"{label}: {v} {others}", rest])
+
+    assert header == "market 60 179" and first == "78"
+    return text, [
+        "\n" + text.replace("\nbuyer 1:", "\n\nbuyer 1:") + "\n\n",  # blank lines
+        text.replace("\n", "\r\n"),
+        text.replace("buyer 0: ", "buyer  0:  "),  # doubled spaces
+        text.replace("buyer 1: ", "buyer 1:\t"),
+        text.replace("\nbuyer 2:", " \nbuyer 2:"),  # a trailing space
+        text[:-1],  # no final newline
+        spelled("078"), spelled("+78"), spelled("7_8"), spelled("7\u0668"),  # an Arabic-Indic 8
+        text.replace("market 60 179\n", "market 60\n"),  # the cap is the largest valuation
+    ], spelled("79")
+
+
 def test_digest_ignores_formatting(capsys, tmp_path):
-    # same instance, different whitespace: same digest
+    # same instance, different spellings: same digest, that of the
+    # canonical text; a changed value changes it
+    def digests(path, argvs):
+        return [json.loads(run(capsys, *argv[:2], str(path), *argv[2:], "--json")[1])["digest"]
+                for argv in argvs]
+
     original = Path(SMP3).read_text()
     messy = tmp_path / "messy.txt"
     messy.write_text("\n" + original.replace("man 0:", "man  0: ") + "\n\n")
-    _, out1 = run(capsys, "smp", "solve", SMP3, "--json")
-    _, out2 = run(capsys, "smp", "solve", str(messy), "--json")
-    assert json.loads(out1)["digest"] == json.loads(out2)["digest"]
+    smp = [["smp", "solve"]]
+    assert digests(messy, smp) == digests(SMP3, smp)
+
+    text, twins, changed = market60_twins()
+    low = json.loads((FIXTURES / "market60.clear.json").read_text())["results"][0][8:]
+    prices = tmp_path / "prices.txt"
+    prices.write_text(low + "\n")
+    market = [["market", "clear"], ["market", "median", "--prices", str(prices), "--j", "1"],
+              ["market", "verify", "--prices", low]]
+    want = digests(MARKET60, market)
+    assert want[0] == hashlib.sha256(text.encode()).hexdigest()[:12]
+    twin = tmp_path / "twin.txt"
+    for spelling in twins:
+        twin.write_bytes(spelling.encode())
+        assert digests(twin, market) == want, spelling[:40]
+    twin.write_bytes(changed.encode())
+    assert all(a and a != b for a, b in zip(digests(twin, market), want))
 
 
 def test_verify_battery_deterministic(capsys):

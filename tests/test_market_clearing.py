@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from latmed import bipartite, market_clearing, order_core
 from latmed.errors import (
     JOutOfRange,
+    LatmedError,
     MalformedFile,
     NotClearingInput,
     OutOfBounds,
@@ -191,6 +192,51 @@ def test_median_clearing_validation():
         median_clearing(inst, [good], 2)
     with pytest.raises(OutOfBounds):
         median_clearing(inst, [(9, 9)], 1)
+
+
+def demand_graph_median(inst, family, j):
+    """The j-th median by the route that builds a demand graph and a
+    matching for every input, then for the median."""
+    ps = [tuple(p) for p in family]
+    for p in ps:
+        if not is_market_clearing(inst, p):
+            raise NotClearingInput(f"{p} does not clear the market")
+    if not 1 <= j <= len(ps):
+        raise JOutOfRange(f"j={j} outside 1..{len(ps)}")
+    median = tuple(sorted(column)[j - 1] for column in zip(*ps))
+    assert is_market_clearing(inst, median)
+    return median
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LatmedError as e:
+        return type(e), str(e)
+
+
+def test_median_clearing_matches_demand_graph_route():
+    # members mix clearing vectors with their +-1 single-coordinate
+    # neighbours in the box, most of which do not clear
+    rng = random.Random(53)
+    refused = 0
+    for _ in range(1500):
+        n, cap = rng.randint(1, 5), rng.randint(0, 6)
+        top = rng.randint(0, 6)
+        inst = market_instance([[rng.randint(0, top) for _ in range(n)] for _ in range(n)], cap)
+        clearing = enumerate_clearing_vectors(inst) or [(0,) * n]
+        family = []
+        for _ in range(rng.randint(1, 5)):
+            p = list(rng.choice(clearing))
+            if rng.random() < 0.5:
+                k = rng.randrange(n)
+                p[k] = min(max(p[k] + rng.choice((-1, 1)), 0), cap)
+            family.append(tuple(p))
+        j = rng.randint(0, len(family) + 1)
+        want = outcome(demand_graph_median, inst, family, j)
+        assert outcome(median_clearing, inst, family, j) == want, (serialize_market(inst), family)
+        refused += want[0] is NotClearingInput
+    assert 300 < refused < 1200  # both routes are exercised
 
 
 def test_enumeration_bounds():
