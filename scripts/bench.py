@@ -94,6 +94,9 @@ def serialized_source(text):  # a CLI that hashes every market file's serializat
 
 
 market_source = getattr(cli, "_market_source", serialized_source)
+# a sign on the last value: the latest refusal of a spelling the writer never prints
+last = market_text.rindex(" ") + 1
+signed_text = market_text[:last] + "+" + market_text[last:]
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
         f"{len(markets)} markets, n {cfg.market_n_min}-{cfg.market_n_max}, "
@@ -131,6 +134,9 @@ print(json.dumps({
     "market_digest_source": timed(
         "the n = 200 market's canonical text, read and its digest source taken",
         lambda: market_source(market_text)),
+    "market_digest_source_signed": timed(
+        "the n = 200 market's text with its last value written +v, read and its digest source taken",
+        lambda: market_source(signed_text)),
     "parse_instance": timed("the n = 400 instance's text",
                             lambda: sm.parse_instance(smp_text)),
     "birkhoff_battery": timed(catalog, lambda: birkhoff_battery(cfg.birkhoff_max_elements)),

@@ -127,7 +127,7 @@ def _market_source(text):
     """The market a text holds, and the text its digest is taken over: the
     text itself when it is already what serialize_market prints."""
     inst = mc.parse_market(text)
-    return inst, text if mc.CANONICAL_MARKET.fullmatch(text) else mc.serialize_market(inst)
+    return inst, text if mc.is_canonical_market(text) else mc.serialize_market(inst)
 
 
 def _read_market(path):

@@ -70,13 +70,24 @@ def serialize_market(inst):
     return "\n".join(lines) + "\n"
 
 
-# Exactly the texts serialize_market prints, among those parse_market
-# accepts: each integer in its shortest ASCII spelling, one space between
-# tokens, the cap present and every line ending in "\n". The parser checks
-# the counts and indices left open here. Every repeat is possessive, so a
-# failed match never backtracks into a row.
-_INT = r"(?:0|[1-9][0-9]*+)"
-CANONICAL_MARKET = re.compile(rf"market [1-9][0-9]*+ {_INT}\n(?:buyer {_INT}:(?: {_INT})++\n)++")
+# The texts serialize_market prints, among those parse_market accepts: each
+# integer in its shortest ASCII spelling, one space between tokens, the cap
+# present and every line ending in "\n". A row's values are matched as one
+# run of digits and spaces, so no repeat nests in another (the matcher would
+# keep a backtracking frame per value); the run's doubled spaces, trailing
+# space and leading zeros are ruled out by scans of the whole text, which
+# run first and refuse most other spellings before the match. The parser
+# checks the counts and indices left open here.
+_INT = r"(?:0|[1-9][0-9]*)"
+_MARKET_LINES = re.compile(rf"market [1-9][0-9]* {_INT}\n(?:buyer {_INT}: [0-9][0-9 ]*\n)+")
+_LEADING_ZERO = re.compile(r" 0[0-9]")
+
+
+def is_canonical_market(text):
+    """Whether text is byte for byte what serialize_market prints, given
+    that parse_market accepts it."""
+    return ("  " not in text and " \n" not in text and _LEADING_ZERO.search(text) is None
+            and _MARKET_LINES.fullmatch(text) is not None)
 
 
 def _check_prices(inst, prices):
@@ -289,13 +300,11 @@ def median_clearing(inst, price_vectors, j):
     max per row, with no demand lists and no matcher.
     """
     ps = [_check_prices(inst, p) for p in price_vectors]
-    first = ps[0] if ps else None
-    mu = clearing_matching(inst, first) if ps else ()  # refuses a first vector that does not clear
+    mu = clearing_matching(inst, ps[0]) if ps else ()  # refuses a first vector that does not clear
     vals = inst.valuations
 
     def clears(p):
-        return p == first or all(row[k] - p[k] == max(map(sub, row, p))
-                                 for row, k in zip(vals, mu))
+        return all(row[k] - p[k] == max(map(sub, row, p)) for row, k in zip(vals, mu))
 
     return checked_median(ps, j, clears,
                           lambda p: NotClearingInput(f"{p} does not clear the market"))

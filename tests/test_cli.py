@@ -262,6 +262,7 @@ def market60_twins():
         "\n" + text.replace("\nbuyer 1:", "\n\nbuyer 1:") + "\n\n",  # blank lines
         text.replace("\n", "\r\n"),
         text.replace("buyer 0: ", "buyer  0:  "),  # doubled spaces
+        spelled("78 "),  # a doubled space between values
         text.replace("buyer 1: ", "buyer 1:\t"),
         text.replace("\nbuyer 2:", " \nbuyer 2:"),  # a trailing space
         text[:-1],  # no final newline
