@@ -135,7 +135,8 @@ print(json.dumps({
         "the n = 200 market's canonical text, read and its digest source taken",
         lambda: market_source(market_text)),
     "market_digest_source_signed": timed(
-        "the n = 200 market's text with its last value written +v, read and its digest source taken",
+        "the n = 200 market's text with its last value written +v, "
+        "read and its digest source taken",
         lambda: market_source(signed_text)),
     "parse_instance": timed("the n = 400 instance's text",
                             lambda: sm.parse_instance(smp_text)),
