@@ -93,10 +93,15 @@ def serialized_source(text):  # a CLI that hashes every market file's serializat
     return inst, mc.serialize_market(inst)
 
 
-market_source = getattr(cli, "_market_source", serialized_source)
-# a sign on the last value: the latest refusal of a spelling the writer never prints
+# each side's own route from a market file's text to its instance and digest source
+market_source = getattr(mc, "read_market", None) or getattr(cli, "_market_source",
+                                                            serialized_source)
+# spellings the writer never prints, refused as late as each check allows: a
+# sign on the last value fails the line pattern at its end, and a leading zero
+# there passes the pattern and fails at the end of the JSON decode
 last = market_text.rindex(" ") + 1
 signed_text = market_text[:last] + "+" + market_text[last:]
+zero_text = market_text[:last] + "0" + market_text[last:]
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
         f"{len(markets)} markets, n {cfg.market_n_min}-{cfg.market_n_max}, "
@@ -138,6 +143,10 @@ print(json.dumps({
         "the n = 200 market's text with its last value written +v, "
         "read and its digest source taken",
         lambda: market_source(signed_text)),
+    "market_digest_source_zero": timed(
+        "the n = 200 market's text with a leading zero on its last value, "
+        "read and its digest source taken",
+        lambda: market_source(zero_text)),
     "parse_instance": timed("the n = 400 instance's text",
                             lambda: sm.parse_instance(smp_text)),
     "birkhoff_battery": timed(catalog, lambda: birkhoff_battery(cfg.birkhoff_max_elements)),

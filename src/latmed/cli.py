@@ -4,8 +4,9 @@ Every invocation prints a deterministic report: result lines, then
 violation lines. With --json the same report is emitted as one JSON
 object {command, digest, results, violations, seed}. The digest is the
 first 12 hex chars of sha256 over the canonical serialization of the
-inputs, so identical inputs are recognizable across runs; a market file
-that is already canonical is hashed as read. Exit status: 0
+inputs, so identical inputs are recognizable across runs. Market files
+are read by market_clearing.read_market, which also gives the text to
+hash: the file as read when it is already canonical. Exit status: 0
 clean, 1 for violations or domain errors (reported by error class name),
 2 for usage errors.
 """
@@ -123,15 +124,8 @@ def cmd_smp_verify(ns):
 
 # --- market ------------------------------------------------------------
 
-def _market_source(text):
-    """The market a text holds, and the text its digest is taken over: the
-    text itself when it is already what serialize_market prints."""
-    inst = mc.parse_market(text)
-    return inst, text if mc.is_canonical_market(text) else mc.serialize_market(inst)
-
-
 def _read_market(path):
-    return _market_source(Path(path).read_text())
+    return mc.read_market(Path(path).read_text())
 
 
 def cmd_market_clear(ns):

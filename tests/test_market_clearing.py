@@ -5,6 +5,7 @@ import tracemalloc
 from functools import lru_cache
 from itertools import permutations, product
 from operator import getitem, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +32,12 @@ from latmed.market_clearing import (
     median_clearing,
     min_clearing_prices,
     parse_market,
+    read_market,
     serialize_market,
 )
 from latmed.order_core import join, meet
 from latmed.verify import PropertyResult, VerifyConfig, market_battery, random_market_instance
+from test_cli import MARKET60, market60_twins
 
 
 def test_instance_validation():
@@ -92,6 +95,99 @@ def test_parse_rejects_malformed():
         with pytest.raises(error) as caught:
             parse_market(text)
         assert type(caught.value) is error and str(caught.value) == message, text
+
+
+def read_outcome(read, text):
+    """What `read` gives for text: its value, or its error's class and message."""
+    try:
+        return read(text)
+    except LatmedError as e:
+        return type(e), str(e)
+
+
+def parse_route(text):
+    """read_market's contract, through the parser and the writer alone."""
+    inst = parse_market(text)
+    return inst, serialize_market(inst)
+
+
+def assert_reads_like_parser(text):
+    assert read_outcome(read_market, text) == read_outcome(parse_route, text), text[:60]
+
+
+def test_read_market_falls_back_late():
+    # texts that pass both scans and the line pattern yet are not what
+    # serialize_market prints: the JSON decode or the shape checks refuse
+    # them, and the parser reads or refuses them as for any other spelling
+    cases = [
+        "market 2 5\nbuyer 0: 1 2\nbuyer 2: 3 4\n",  # a wrong buyer index
+        "market 1 5\nbuyer 0: 1\nbuyer 1: 2\n",  # one row too many
+        "market 2 5\nbuyer 0: 1 2\n",  # one row too few
+        "market 2 5\nbuyer 0: 1\nbuyer 1: 3 4\n",  # a short row
+        "market 2 5\nbuyer 0: 1 2 3\nbuyer 1: 3 4\n",  # a long row
+        "market 2 5\nbuyer 0: 1 02\nbuyer 1: 3 4\n",  # a leading zero on a value
+        "market 1 5\nbuyer 0: " + "7" * 5000 + "\n",  # more digits than int() reads
+        "market 1 " + "7" * 5000 + "\nbuyer 0: 1\n",  # the same, in the cap
+    ]
+    for text in cases:
+        assert "  " not in text and " \n" not in text
+        assert market_clearing._MARKET_LINES.fullmatch(text), text[:60]
+        assert_reads_like_parser(text)
+    assert read_market(cases[5])[1] == "market 2 5\nbuyer 0: 1 2\nbuyer 1: 3 4\n"
+
+
+def respelled(rng, text):
+    """text with changes drawn by rng: one integer kept, respelled, dropped
+    or followed by another; then perhaps a blank line, a row added or
+    dropped, or the cap dropped; and one, two, no or "\\r\\n" line endings."""
+    lines = text.split("\n")[:-1]
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split(" ")
+    k = rng.randrange(1, len(tokens))
+    t = tokens[k].rstrip(":")
+    tokens[k] = rng.choice([
+        t, "0" + t, "+" + t, t[:1] + "_" + t[1:], t[:-1] + "\u0668", " " + t, t + " ",
+        "\t" + t, t + " 1", "",
+    ]) + tokens[k][len(t):]
+    lines[i] = " ".join(tokens)
+    change = rng.randrange(8)
+    if change == 0:
+        lines.insert(rng.randint(0, len(lines)), "")
+    elif change == 1:
+        lines.append(f"buyer {len(lines) - 1}: " + lines[-1].partition(": ")[2])
+    elif change == 2 and len(lines) > 2:
+        del lines[rng.randrange(1, len(lines))]
+    elif change == 3:
+        lines[0] = " ".join(lines[0].split(" ")[:2])  # no cap
+    end = rng.choice(["\n", "\n", "", "\r\n", "\n\n"])
+    return ("\r\n" if end == "\r\n" else "\n").join(lines) + end
+
+
+def test_read_market_matches_parser_on_random_spellings():
+    # any text: read_market's instance and digest source are parse_market's
+    # and serialize_market's, or its refusal is the parser's
+    rng = random.Random(23)
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        top = rng.choice([3, 50, 10**6])
+        inst = market_instance([[rng.randint(0, top) for _ in range(n)] for _ in range(n)],
+                               rng.choice([None, rng.randint(0, 10**6)]))
+        text = serialize_market(inst)
+        assert read_market(text) == (inst, text)
+        assert_reads_like_parser(respelled(rng, text))
+    text, twins, changed = market60_twins()
+    for spelling in [text, *twins, changed]:
+        assert_reads_like_parser(spelling)
+
+
+def test_read_market_canonical_text_skips_the_parser(monkeypatch):
+    def refuse(text):
+        raise AssertionError("parse_market called on a canonical text")
+
+    texts = [Path(MARKET60).read_text(), "market 1 0\nbuyer 0: 7\n"]
+    want = [parse_market(t) for t in texts]
+    monkeypatch.setattr(market_clearing, "parse_market", refuse)
+    assert [read_market(t) for t in texts] == list(zip(want, texts))
 
 
 def test_demand_graph_argmax_semantics():
