@@ -97,6 +97,8 @@ def _read_canonical(text):
         return None
     if len(rows) != n or any(len(r) != n + 1 or r[0] != i for i, r in enumerate(rows)):
         return None
+    # n >= 1, the shape is checked and the pattern admits no sign, so
+    # every check of market_instance holds
     return MarketInstance(n=n, valuations=tuple(tuple(r[1:]) for r in rows), price_cap=cap)
 
 

@@ -133,7 +133,6 @@ def test_read_market_falls_back_late():
         assert "  " not in text and " \n" not in text
         assert market_clearing._MARKET_LINES.fullmatch(text), text[:60]
         assert_reads_like_parser(text)
-    assert read_market(cases[5])[1] == "market 2 5\nbuyer 0: 1 2\nbuyer 1: 3 4\n"
 
 
 def respelled(rng, text):
