@@ -42,7 +42,7 @@ LAYER_PROCESSES = 5  # layer-script runs per side
 LAYERS = r"""
 import json, random, statistics, sys
 from time import perf_counter
-from latmed import cli, lattice_median as lm, market_clearing as mc, order_core as oc
+from latmed import bipartite, lattice_median as lm, market_clearing as mc, order_core as oc
 from latmed import stable_matching as sm
 from latmed.verify import (VerifyConfig, birkhoff_battery, block_swap_instance,
                            chain_product_lattices, fixed_lattices,
@@ -86,16 +86,7 @@ below[next(j for j, x in enumerate(clearing) if x > 0)] -= 1
 # uniform shifts of a clearing vector keep every demand set, so they clear
 room = market.price_cap - max(clearing)
 clearing_family = [tuple(p + c for p in clearing) for c in (0, room // 2, room)]
-
-
-def serialized_source(text):  # a CLI that hashes every market file's serialization
-    inst = mc.parse_market(text)
-    return inst, mc.serialize_market(inst)
-
-
-# each side's own route from a market file's text to its instance and digest source
-market_source = getattr(mc, "read_market", None) or getattr(cli, "_market_source",
-                                                            serialized_source)
+demand_graphs = [mc._demands(market, p) for p in (clearing, below)]
 # spellings the writer never prints, refused as late as each check allows: a
 # sign on the last value fails the line pattern at its end, and a leading zero
 # there passes the pattern and fails at the end of the JSON decode
@@ -133,27 +124,33 @@ print(json.dumps({
     "is_market_clearing_below": timed(
         "the n = 200 market one unit below its minimum on the first positive price",
         lambda: mc.is_market_clearing(market, below)),
+    "max_matching": timed(
+        "the n = 200 market's demand graphs at its minimum clearing prices and one "
+        "unit below, built before timing",
+        lambda: [bipartite.max_matching(market.n, market.n, g) for g in demand_graphs]),
     "median_clearing": timed(
         "the n = 200 market, j = 2 of its minimum clearing prices and two uniform shifts",
         lambda: mc.median_clearing(market, clearing_family, 2)),
     "market_digest_source": timed(
         "the n = 200 market's canonical text, read and its digest source taken",
-        lambda: market_source(market_text)),
+        lambda: mc.read_market(market_text)),
     "market_digest_source_signed": timed(
         "the n = 200 market's text with its last value written +v, "
         "read and its digest source taken",
-        lambda: market_source(signed_text)),
+        lambda: mc.read_market(signed_text)),
     "market_digest_source_zero": timed(
         "the n = 200 market's text with a leading zero on its last value, "
         "read and its digest source taken",
-        lambda: market_source(zero_text)),
+        lambda: mc.read_market(zero_text)),
     "parse_instance": timed("the n = 400 instance's text",
                             lambda: sm.parse_instance(smp_text)),
     "birkhoff_battery": timed(catalog, lambda: birkhoff_battery(cfg.birkhoff_max_elements)),
     "explicit_lattice": timed(f"the vector sets of the {catalog}",
                               lambda: [oc.explicit_lattice(v) for v in vector_sets]),
-    "birkhoff_round_trip": timed(catalog,
-                                 lambda: [oc.birkhoff_round_trip(lat) for lat in lattices]),
+    "birkhoff_round_trip": timed(
+        f"the {catalog} as explicit_lattice returns them, so already decomposed "
+        "where a Poset caches its Birkhoff decomposition",
+        lambda: [oc.birkhoff_round_trip(lat) for lat in lattices]),
     "regularity_gate_battery": timed(
         f"{cfg.gate_trials} trials from a generator of their own",
         lambda: regularity_gate_battery(random.Random(seed), cfg.gate_trials)),

@@ -9,8 +9,10 @@ indicator vectors, or the square (0,0) < (1,2), (2,1) < (2,2), has its
 own meets and joins, read off its masks (there the meet of (1,2) and
 (2,1) is (0,0), not the componentwise (1,1), which is no element).
 
-Everything here is immutable after construction and all operations are
-pure functions, so values can be shared freely across threads.
+Values are immutable once built, and all operations are pure functions,
+so values can be shared freely across threads. A Poset computes `index`,
+`up` and its Birkhoff decomposition on first use and caches each; they
+are equal whichever thread computes them.
 """
 
 from __future__ import annotations
@@ -177,6 +179,23 @@ class Poset:
                 up[j] |= 1 << i
         return tuple(up)
 
+    @cached_property
+    def irreducible_images(self):
+        """The join-irreducibles' indices, ascending, and per element its
+        Birkhoff image: the mask of the irreducibles at or below it, with bit
+        k standing for the k-th irreducible.
+
+        x is join-irreducible exactly when the elements strictly below x have
+        a greatest one y, i.e. when down(x) without x is down(y); a bottom
+        never qualifies, as no down mask is empty.
+        """
+        downs = set(self.down)
+        members = [i for i, d in enumerate(self.down) if d ^ (1 << i) in downs]
+        images = [0] * len(self.down)
+        for k, i in enumerate(members):
+            images = [m | (d >> i & 1) << k for m, d in zip(images, self.down)]
+        return tuple(members), tuple(images)
+
 
 def poset_from_covers(elements, covers) -> Poset:
     """Build a Poset from cover pairs; redundant transitive pairs are fine.
@@ -285,23 +304,6 @@ def all_ideals(poset: Poset, chains):
 # explicit lattices
 
 
-def _irreducible_images(down):
-    """The join-irreducibles' indices, ascending, and per element its
-    Birkhoff image: the mask of the irreducibles at or below it, with bit
-    k standing for the k-th irreducible.
-
-    x is join-irreducible exactly when the elements strictly below x have
-    a greatest one y, i.e. when down(x) without x is down(y); a bottom
-    never qualifies, as no down mask is empty.
-    """
-    downs = set(down)
-    members = [i for i, d in enumerate(down) if d ^ (1 << i) in downs]
-    images = [0] * len(down)
-    for k, i in enumerate(members):
-        images = [m | (d >> i & 1) << k for m, d in zip(images, down)]
-    return members, images
-
-
 def explicit_lattice(vectors) -> Poset:
     """Distinct count vectors under the componentwise order, as a Poset
     checked to be a distributive lattice.
@@ -322,7 +324,7 @@ def explicit_lattice(vectors) -> Poset:
     lat = Poset(elements=vectors, down=tuple(down))
     up, downs = lat.up, set(down)
     by_up = {m: i for i, m in enumerate(up)}
-    images = _irreducible_images(down)[1]
+    images = lat.irreducible_images[1]
     for i, a in enumerate(vectors):
         for j in range(i + 1, len(vectors)):
             b = vectors[j]
@@ -341,7 +343,7 @@ def explicit_lattice(vectors) -> Poset:
 
 def join_irreducibles(poset: Poset) -> Poset:
     """Sub-poset of the elements with exactly one lower cover."""
-    members, images = _irreducible_images(poset.down)
+    members, images = poset.irreducible_images
     return Poset(
         elements=tuple(poset.elements[i] for i in members),
         down=tuple(images[i] for i in members),
@@ -356,7 +358,7 @@ def birkhoff_round_trip(poset: Poset):
     finite distributive lattice, and returns that sub-poset.
     """
     jp = join_irreducibles(poset)
-    images = _irreducible_images(poset.down)[1]
+    images = poset.irreducible_images[1]
     if sorted(images) != sorted(_ideal_masks(jp.down)):
         raise NotALattice("element-to-ideal map is not a bijection onto the ideals")
     els = poset.elements

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import prod
 
 from . import market_clearing as mc
 from . import stable_matching as sm
@@ -381,17 +382,12 @@ def regularity_gate_battery(rng, trials):
 def chain_product_lattices(max_elements):
     """Products of two and three chains, up to the element bound."""
     out = []
-    for a in range(2, max_elements // 2 + 1):
-        for b in range(2, a + 1):
-            if a * b <= max_elements:
-                vecs = list(product(range(a), range(b)))
-                out.append((f"chain-{a}x{b}", explicit_lattice(vecs)))
-    for a in range(2, max_elements // 4 + 1):
-        for b in range(2, a + 1):
-            for c in range(2, b + 1):
-                if a * b * c <= max_elements:
-                    vecs = list(product(range(a), range(b), range(c)))
-                    out.append((f"chain-{a}x{b}x{c}", explicit_lattice(vecs)))
+    for chains in (2, 3):
+        top = max_elements // 2 ** (chains - 1)
+        for sizes in product(range(2, top + 1), repeat=chains):
+            if list(sizes) == sorted(sizes, reverse=True) and prod(sizes) <= max_elements:
+                name = "chain-" + "x".join(map(str, sizes))
+                out.append((name, explicit_lattice(product(*map(range, sizes)))))
     return out
 
 

@@ -21,6 +21,7 @@ from latmed.errors import (
     UnknownLabel,
 )
 from latmed.order_core import (
+    Poset,
     all_ideals,
     birkhoff_round_trip,
     chain_partition,
@@ -34,7 +35,7 @@ from latmed.order_core import (
 )
 from latmed.market_clearing import enumerate_clearing_vectors, market_instance
 from latmed.stable_matching import all_stable_matchings
-from latmed.verify import block_swap_instance
+from latmed.verify import block_swap_instance, chain_product_lattices, fixed_lattices
 
 
 def is_leq(poset, a, b):
@@ -492,6 +493,39 @@ def test_join_irreducibles_match_lower_cover_filter():
                 hi = pos[greatest_common_bound(family, a, b, lambda x, y: subset(y, x))]
                 assert down[lo] == down[i] & down[j]
                 assert up[hi] == up[i] & up[j]
+
+
+def test_irreducible_images_match_lower_covers():
+    rng = random.Random(41)
+    for _ in range(300):
+        poset = random_poset(rng, rng.randint(1, 9), rng.random(), shuffled=True)
+        els = poset.elements
+        members = tuple(i for i, x in enumerate(els)
+                        if len(brute_force_lower_covers(poset, els, x)) == 1)
+        images = tuple(sum(1 << k for k, i in enumerate(members) if is_leq(poset, els[i], x))
+                       for x in els)
+        assert poset.irreducible_images == (members, images)
+
+
+def test_each_poset_is_decomposed_once(monkeypatch):
+    vector_sets = [lat.elements for _, lat in chain_product_lattices(50) + fixed_lattices()]
+    prop = Poset.__dict__["irreducible_images"]
+    real, computed = prop.func, []
+
+    def counted(poset):
+        computed.append(poset)
+        return real(poset)
+
+    monkeypatch.setattr(prop, "func", counted)
+    grid = [(i, j) for i in range(3) for j in range(4)]
+    covers = [((i, j), (i + 1, j)) for i, j in grid if i < 2]
+    covers += [((i, j), (i, j + 1)) for i, j in grid if j < 3]
+    posets = [explicit_lattice(v) for v in vector_sets] + [poset_from_covers(grid, covers)]
+    for poset in posets:
+        join_irreducibles(poset)
+        birkhoff_round_trip(poset)
+    assert len(computed) == len(posets) == 88
+    assert all(c is p for c, p in zip(computed, posets))
 
 
 def test_join_irreducibles_of_cube():

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import fields
+from itertools import product
 
 import pytest
 
@@ -142,6 +143,30 @@ def test_catalog_shapes():
     lats = chain_product_lattices(20)
     assert all(len(lat.elements) <= 20 for _, lat in lats)
     assert any(name.count("x") == 2 for name, _ in lats)  # three-chain products
+
+
+def two_block_catalog(max_elements):
+    # oracle: the chain products as two nested loops, the two-chain block
+    # first, each listed with its name and its vectors in product order
+    out = []
+    for a in range(2, max_elements // 2 + 1):
+        for b in range(2, a + 1):
+            if a * b <= max_elements:
+                out.append((f"chain-{a}x{b}", tuple(product(range(a), range(b)))))
+    for a in range(2, max_elements // 4 + 1):
+        for b in range(2, a + 1):
+            for c in range(2, b + 1):
+                if a * b * c <= max_elements:
+                    vecs = tuple(product(range(a), range(b), range(c)))
+                    out.append((f"chain-{a}x{b}x{c}", vecs))
+    return out
+
+
+@pytest.mark.parametrize("max_elements, count", [(50, 82), (20, 20)])
+def test_chain_product_catalog_is_pinned(max_elements, count):
+    got = [(name, lat.elements) for name, lat in chain_product_lattices(max_elements)]
+    assert len(got) == count
+    assert got == two_block_catalog(max_elements)
 
 
 def test_birkhoff_row_catches_a_lost_join_irreducible(monkeypatch):
