@@ -93,6 +93,8 @@ demand_graphs = [mc._demands(market, p) for p in (clearing, below)]
 last = market_text.rindex(" ") + 1
 signed_text = market_text[:last] + "+" + market_text[last:]
 zero_text = market_text[:last] + "0" + market_text[last:]
+last = smp_text.rindex(" ") + 1
+signed_smp_text = smp_text[:last] + "+" + smp_text[last:]
 print(json.dumps({
     "enumerate_clearing_vectors": timed(
         f"{len(markets)} markets, n {cfg.market_n_min}-{cfg.market_n_max}, "
@@ -118,7 +120,9 @@ print(json.dumps({
     "smp_instance": timed("the n = 1000 proposers' rows",
                           lambda: sm.smp_instance(proposers.men_prefs, proposers.women_prefs)),
     "chain_partition": timed("a 1200-element chain", lambda: oc.chain_partition(chain)),
-    "parse_market": timed("the n = 200 market's text", lambda: mc.parse_market(market_text)),
+    "parse_market": timed("the n = 200 market's text as the writer prints it, which "
+                          "parse_rows decodes whole in one JSON call",
+                          lambda: mc.parse_market(market_text)),
     "is_market_clearing": timed("the n = 200 market at its minimum clearing prices",
                                 lambda: mc.is_market_clearing(market, clearing)),
     "is_market_clearing_below": timed(
@@ -144,6 +148,10 @@ print(json.dumps({
         lambda: mc.read_market(zero_text)),
     "parse_instance": timed("the n = 400 instance's text",
                             lambda: sm.parse_instance(smp_text)),
+    "parse_instance_respelled": timed(
+        "the n = 400 instance's text with its last value written +v, refused at the "
+        "line pattern's end and read line by line",
+        lambda: sm.parse_instance(signed_smp_text)),
     "birkhoff_battery": timed(catalog, lambda: birkhoff_battery(cfg.birkhoff_max_elements)),
     "explicit_lattice": timed(f"the vector sets of the {catalog}",
                               lambda: [oc.explicit_lattice(v) for v in vector_sets]),

@@ -16,8 +16,6 @@ these difference constraints, without building a demand graph.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, sub
@@ -60,8 +58,7 @@ def market_instance(valuations, price_cap=None):
 
 def parse_market(text):
     """Read the `market <n> [cap]` text format (see serialize_market)."""
-    cap, (rows,) = parse_rows(text, "market", ("cap",), ("buyer",), "valuation", "valuations")
-    return market_instance(rows, *cap)
+    return read_market(text)[0]
 
 
 def serialize_market(inst):
@@ -71,46 +68,16 @@ def serialize_market(inst):
     return "\n".join(lines) + "\n"
 
 
-# The texts serialize_market prints: each integer in its shortest ASCII
-# spelling, one space between tokens, the cap present and every line ending
-# in "\n". A row's values are matched as one run of digits and spaces, so no
-# repeat nests in another (the matcher would keep a backtracking frame per
-# value); the run's doubled and trailing spaces are ruled out by scans of the
-# whole text, which run first and refuse most other spellings before the
-# match. read_market's JSON decode refuses leading zeros, and its checks
-# cover the counts and indices left open here.
-_INT = r"(?:0|[1-9][0-9]*)"
-_MARKET_LINES = re.compile(rf"market [1-9][0-9]* {_INT}\n(?:buyer {_INT}: [0-9][0-9 ]*\n)+")
-
-
-def _read_canonical(text):
-    """The market of a text that serialize_market prints; None for any other text."""
-    if "  " in text or " \n" in text or _MARKET_LINES.fullmatch(text) is None:
-        return None
-    header, _, body = text.partition("\nbuyer ")
-    try:
-        n, cap = map(int, header.split()[1:])
-        # "0: 5 7\nbuyer 1: 2 9\n" becomes [[0,5,7],[1,2,9]]
-        rows = json.loads("[[" + body[:-1].replace("\nbuyer ", "],[").replace(":", "")
-                          .replace(" ", ",") + "]]")
-    except ValueError:  # a leading zero, or more digits than int() reads
-        return None
-    if len(rows) != n or any(len(r) != n + 1 or r[0] != i for i, r in enumerate(rows)):
-        return None
-    # n >= 1, the shape is checked and the pattern admits no sign, so
-    # every check of market_instance holds
-    return MarketInstance(n=n, valuations=tuple(tuple(r[1:]) for r in rows), price_cap=cap)
-
-
 def read_market(text):
     """The market a text holds, and the text its digest is taken over: the
     text itself when it is byte for byte what serialize_market prints, else
-    that serialization. Any other text is read, or refused, by parse_market."""
-    inst = _read_canonical(text)
-    if inst is not None:
-        return inst, text
-    inst = parse_market(text)
-    return inst, serialize_market(inst)
+    that serialization."""
+    cap, (rows,), written = parse_rows(text, "market", ("cap",), ("buyer",), "valuation",
+                                       "valuations")
+    # a written text has n >= 1, its shape is checked and the pattern admits
+    # no sign, so every check of market_instance holds
+    inst = MarketInstance(len(rows), tuple(rows), *cap) if written else market_instance(rows, *cap)
+    return inst, text if written else serialize_market(inst)
 
 
 def _check_prices(inst, prices):

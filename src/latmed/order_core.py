@@ -17,6 +17,10 @@ are equal whichever thread computes them.
 
 from __future__ import annotations
 
+import json
+import re
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -81,6 +85,22 @@ def format_vector(v) -> str:
     return "(" + ",".join(map(str, v)) + ")"
 
 
+def _int_refusal(noun, quoted, tokens):
+    """The message for int() refusing one of `tokens`, read from `quoted`:
+    the first token it refuses is no integer, or a decimal integer with more
+    digits than int() converts (sys.get_int_max_str_digits()), whose message
+    quotes only a prefix of `quoted`."""
+    for t in tokens:
+        try:
+            int(t)
+        except ValueError:
+            if re.fullmatch(r"[+-]?\d+(?:_\d+)*", t):
+                limit = sys.get_int_max_str_digits()
+                return f"{noun} with more than {limit} digits in {quoted[:40]!r}..."
+            break
+    return f"non-integer {noun} in {quoted!r}"
+
+
 def parse_vector(text: str):
     """Parse '(c1,c2,...)' into a tuple of nonnegative ints."""
     s = text.strip()
@@ -93,10 +113,26 @@ def parse_vector(text: str):
     try:
         counts = tuple(int(p) for p in parts)
     except ValueError:
-        raise OutOfBounds(f"non-integer component in {text!r}") from None
+        raise OutOfBounds(_int_refusal("component", text, parts)) from None
     if any(c < 0 for c in counts):
         raise OutOfBounds(f"negative component in {text!r}")
     return counts
+
+
+# The texts the writers print: each integer in its shortest ASCII spelling,
+# one space between tokens, every optional header integer present and every
+# line ending in "\n". A row's values are matched as one run of digits and
+# spaces, so no repeat nests in another: without possessive repeats (Python
+# 3.11) the matcher would keep a backtracking frame per value. The run's
+# doubled and trailing spaces are ruled out by scans of the whole text, which
+# run first and refuse most other spellings before the match. The JSON decode
+# refuses leading zeros; the checks after it cover counts, indices and lengths.
+_INT = r"(?:0|[1-9][0-9]*)"
+
+
+def _written_lines(kind, extras, labels):
+    return re.compile(rf"{kind} [1-9][0-9]*{f' {_INT}' * extras}\n" + "".join(
+        rf"(?:{label} {_INT}: [0-9][0-9 ]*\n)+" for label in labels))
 
 
 def parse_rows(text, kind, optional, labels, noun, row_noun):
@@ -104,11 +140,26 @@ def parse_rows(text, kind, optional, labels, noun, row_noun):
     up to len(optional) integers named by `optional`, then for each label
     in `labels` the n rows `<label> <i>: <n integers>`, i = 0..n-1.
 
-    Blank lines are skipped. Each row is checked for its label and index,
-    then for integers (`noun` names one in the message), then for its
-    length (`row_noun` names them), before the next row is read. Returns
-    the header's optional integers and one list of tuple rows per label.
+    A text as its writer prints it is decoded whole. Any other is read line
+    by line, blank lines skipped, each row checked for its label and index,
+    then for integers (`noun` names one in the message), then for its length
+    (`row_noun` names them), before the next row. Returns the header's
+    optional integers, one list of tuple rows per label, and whether the
+    text was decoded whole.
     """
+    if "  " not in text and " \n" not in text and _written_lines(
+            kind, len(optional), labels).fullmatch(text):
+        start = text.index("\n")
+        body = text[start:-1]
+        for label in labels:  # the pattern keeps a label's rows together; the first opens them
+            body = body.replace(f"\n{label} ", "]],[[", 1).replace(f"\n{label} ", "],[")
+        with suppress(ValueError):  # a leading zero, or more digits than int() reads
+            n, *extras = map(int, text[:start].split()[1:])
+            # "]],[[0: 5 7],[1: 2 9]],[[0: 1 2" becomes [[[0,5,7],[1,2,9]],[[0,1,2]]]
+            groups = json.loads("[" + body[3:].replace(":", "").replace(" ", ",") + "]]]")
+            if all(len(g) == n and all(len(r) == n + 1 and r[0] == i for i, r in enumerate(g))
+                   for g in groups):
+                return extras, [[tuple(r[1:]) for r in g] for g in groups], True
     lines = [s for s in map(str.strip, text.splitlines()) if s]
     if not lines or not lines[0].startswith(kind + " "):
         spec = " ".join([kind, "<n>", *(f"[{name}]" for name in optional)])
@@ -123,22 +174,20 @@ def parse_rows(text, kind, optional, labels, noun, row_noun):
         raise MalformedFile(f"instance size must be positive, got {n}")
     if len(lines) != 1 + len(labels) * n:
         raise MalformedFile(f"expected {1 + len(labels) * n} lines, got {len(lines)}")
-    groups = []
-    for k, label in enumerate(labels):
-        group = []
-        for i, line in enumerate(lines[1 + k * n:1 + (k + 1) * n]):
-            head, sep, rest = line.partition(":")
-            if not sep or head.split() != [label, str(i)]:
-                raise MalformedFile(f"expected '{label} {i}: ...', got {line!r}")
-            try:
-                row = tuple(map(int, rest.split()))
-            except ValueError:
-                raise MalformedFile(f"non-integer {noun} in {line!r}") from None
-            if len(row) != n:
-                raise SizeMismatch(f"{label} {i}: expected {n} {row_noun}, got {len(row)}")
-            group.append(row)
-        groups.append(group)
-    return extras, groups
+    rows = []
+    for x, line in enumerate(lines[1:]):
+        label, i = labels[x // n], x % n
+        head, sep, rest = line.partition(":")
+        if not sep or head.split() != [label, str(i)]:
+            raise MalformedFile(f"expected '{label} {i}: ...', got {line!r}")
+        try:
+            row = tuple(map(int, rest.split()))
+        except ValueError:
+            raise MalformedFile(_int_refusal(noun, line, rest.split())) from None
+        if len(row) != n:
+            raise SizeMismatch(f"{label} {i}: expected {n} {row_noun}, got {len(row)}")
+        rows.append(row)
+    return extras, [rows[k * n:(k + 1) * n] for k in range(len(labels))], False
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def smp_instance(men_prefs, women_prefs):
 
 def parse_instance(text):
     """Read the `smp <n>` text format (see serialize_instance)."""
-    _, (men, women) = parse_rows(text, "smp", (), ("man", "woman"), "preference", "entries")
+    _, (men, women), _ = parse_rows(text, "smp", (), ("man", "woman"), "preference", "entries")
     return smp_instance(men, women)
 
 

@@ -12,9 +12,10 @@ file whose header has more tokens than its format defines must be
 refused for that header: the instance is read before anything else.
 A market command that accepts a file gives the same report, digest
 included, on the canonical serialization of the market it read, however
-the file spelled it; and `read_market` gives every drawn market text the
+the file spelled it; `read_market` gives every drawn market text the
 instance `parse_market` reads and the text `serialize_market` prints, or
-the parser's refusal.
+the parser's refusal; and `parse_instance` reads, or refuses, every drawn
+smp text as it does that text read line by line.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from latmed.cli import dispatch
 from latmed.market_clearing import parse_market, serialize_market
 from test_market_clearing import assert_reads_like_parser
+from test_stable_matching import assert_routes_agree
 
 ENTRY = st.integers(-2, 7)
 VALUATION = st.one_of(st.integers(0, 50), st.integers(0, 10**12))
@@ -175,9 +177,10 @@ def test_cli_never_raises(tmp_path_factory, data):
     header = overlong_header(command[0], paths[0]) if command[0] in HEADER_TOKENS else None
     if header is not None and report.exit_code != 2:
         assert report.violations == (f"MalformedFile: bad header {header!r}",)
-    if command[0] == "market":
+    if command[0] in ("market", "smp"):
+        check = assert_reads_like_parser if command[0] == "market" else assert_routes_agree
         with contextlib.suppress(UnicodeDecodeError):
-            assert_reads_like_parser(paths[0].read_text())
+            check(paths[0].read_text())
     if command[0] == "market" and report.exit_code == 0:
         # the same report, digest too, on the writer's spelling of the market:
         # fails if a spelling serialize_market would not print is hashed as read

@@ -1,6 +1,7 @@
 """Market clearing: demand graphs, the auction, enumeration, medians."""
 
 import random
+import sys
 import tracemalloc
 from functools import lru_cache
 from itertools import permutations, product
@@ -37,6 +38,7 @@ from latmed.market_clearing import (
 )
 from latmed.order_core import join, meet
 from latmed.verify import PropertyResult, VerifyConfig, market_battery, random_market_instance
+from test_bipartite import alternating_closure
 from test_cli import MARKET60, market60_twins
 
 
@@ -131,14 +133,15 @@ def test_read_market_falls_back_late():
     ]
     for text in cases:
         assert "  " not in text and " \n" not in text
-        assert market_clearing._MARKET_LINES.fullmatch(text), text[:60]
+        assert order_core._written_lines("market", 1, ("buyer",)).fullmatch(text), text[:60]
         assert_reads_like_parser(text)
 
 
 def respelled(rng, text):
     """text with changes drawn by rng: one integer kept, respelled, dropped
     or followed by another; then perhaps a blank line, a row added or
-    dropped, or the cap dropped; and one, two, no or "\\r\\n" line endings."""
+    dropped, or a market's cap dropped or an smp instance's man row moved
+    among its woman rows; and one, two, no or "\\r\\n" line endings."""
     lines = text.split("\n")[:-1]
     i = rng.randrange(len(lines))
     tokens = lines[i].split(" ")
@@ -153,11 +156,15 @@ def respelled(rng, text):
     if change == 0:
         lines.insert(rng.randint(0, len(lines)), "")
     elif change == 1:
-        lines.append(f"buyer {len(lines) - 1}: " + lines[-1].partition(": ")[2])
+        label = lines[-1].split(" ")[0]
+        lines.append(f"{label} {len(lines) - 1}: " + lines[-1].partition(": ")[2])
     elif change == 2 and len(lines) > 2:
         del lines[rng.randrange(1, len(lines))]
-    elif change == 3:
+    elif change == 3 and lines[0].startswith("market"):
         lines[0] = " ".join(lines[0].split(" ")[:2])  # no cap
+    elif change == 3:
+        n = len(lines) // 2
+        lines.insert(rng.randint(n + 1, 2 * n), lines.pop(rng.randint(1, n)))
     end = rng.choice(["\n", "\n", "", "\r\n", "\n\n"])
     return ("\r\n" if end == "\r\n" else "\n").join(lines) + end
 
@@ -180,13 +187,40 @@ def test_read_market_matches_parser_on_random_spellings():
 
 
 def test_read_market_canonical_text_skips_the_parser(monkeypatch):
-    def refuse(text):
-        raise AssertionError("parse_market called on a canonical text")
+    # nor does it rerun market_instance's per-value checks
+    def refuse(*args):
+        raise AssertionError("the parser called on a canonical text")
 
     texts = [Path(MARKET60).read_text(), "market 1 0\nbuyer 0: 7\n"]
     want = [parse_market(t) for t in texts]
     monkeypatch.setattr(market_clearing, "parse_market", refuse)
+    monkeypatch.setattr(market_clearing, "market_instance", refuse)
     assert [read_market(t) for t in texts] == list(zip(want, texts))
+
+
+def test_parse_rows_flags_only_the_written_market():
+    rng = random.Random(25)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        inst = market_instance([[rng.randint(0, 50) for _ in range(n)] for _ in range(n)],
+                               rng.choice([None, rng.randint(0, 60)]))
+        text = serialize_market(inst)
+        for t in (text, respelled(rng, text)):
+            try:
+                written = order_core.parse_rows(t, "market", ("cap",), ("buyer",), "v", "vs")[2]
+            except LatmedError:
+                continue
+            assert written is (t == text), t
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts decimal integers of any length")
+def test_overlong_valuation_is_named():
+    line = "buyer 0: " + "7" * 5000
+    with pytest.raises(MalformedFile) as caught:
+        read_market(f"market 1 5\n{line}\n")
+    limit = sys.get_int_max_str_digits()
+    assert str(caught.value) == f"valuation with more than {limit} digits in {line[:40]!r}..."
 
 
 def test_demand_graph_argmax_semantics():
@@ -379,7 +413,8 @@ def argmax_demands(inst, prices):
 
 def rebuilding_auction(inst):
     # oracle: the ascending auction that rebuilds every demand set and runs
-    # a cold matching each round; returns the prices and each round's demands
+    # a cold matching each round, raising the items the alternating closure
+    # reaches by its definition; returns the prices and each round's demands
     n = inst.n
     p = [0] * n
     rounds = []
@@ -388,10 +423,10 @@ def rebuilding_auction(inst):
         demands = argmax_demands(inst, p)
         assert _demands(inst, p) == demands
         rounds.append(demands)
-        match_l, match_r = bipartite.max_matching(n, n, demands)[:2]
+        match_l = bipartite.max_matching(n, n, demands)[0]
         if -1 not in match_l:
             break
-        _, seen_r = bipartite.alternating_reachable(n, demands, match_l, match_r)
+        _, seen_r = alternating_closure(n, demands, match_l)
         for j in seen_r:
             p[j] += 1
     else:
@@ -411,10 +446,10 @@ def exact_step_auction(inst):
     for _ in range(n * (n + 1) + 1):
         demands = argmax_demands(inst, p)
         rounds.append(demands)
-        match_l, match_r = bipartite.max_matching(n, n, demands)[:2]
+        match_l = bipartite.max_matching(n, n, demands)[0]
         if -1 not in match_l:
             break
-        seen_l, seen_r = bipartite.alternating_reachable(n, demands, match_l, match_r)
+        seen_l, seen_r = alternating_closure(n, demands, match_l)
         pays = [list(map(sub, inst.valuations[u], p)) for u in seen_l]
         step = min(max(pay) - max(x for j, x in enumerate(pay) if j not in seen_r)
                    for pay in pays)
@@ -427,7 +462,8 @@ def exact_step_auction(inst):
 
 def auction_rounds(monkeypatch, inst):
     # the incremental auction's prices and the demand lists it hands the
-    # matcher, one entry per round; the matcher is its only graph search
+    # matcher, one entry per call; the calls must equal the oracle's rounds,
+    # so this also pins one graph search per round
     seen = []
     cold = bipartite.max_matching
 
@@ -435,11 +471,7 @@ def auction_rounds(monkeypatch, inst):
         seen.append([list(row) for row in adj])
         return cold(n_left, n_right, adj, start)
 
-    def second_search(*args):
-        raise AssertionError("the auction searched a demand graph twice in a round")
-
     monkeypatch.setattr(bipartite, "max_matching", recording)
-    monkeypatch.setattr(bipartite, "alternating_reachable", second_search)
     try:
         return min_clearing_prices(inst), seen
     finally:

@@ -1,6 +1,7 @@
 """Poset, chain partition, ideal enumeration, and explicit lattice checks."""
 
 import random
+import sys
 import time
 from itertools import combinations, permutations, product
 
@@ -233,6 +234,20 @@ def test_parse_vector_rejects_garbage():
     for bad in ["1,2", "(1,-2)", "(a,b)", "", "(1 2)"]:
         with pytest.raises(OutOfBounds):
             parse_vector(bad)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts decimal integers of any length")
+def test_overlong_component_is_named():
+    # the cause is named and only a prefix quoted; a non-integer still
+    # quotes the whole text
+    text = "(1," + "7" * 5000 + ")"
+    with pytest.raises(OutOfBounds) as caught:
+        parse_vector(text)
+    limit = sys.get_int_max_str_digits()
+    assert str(caught.value) == f"component with more than {limit} digits in {text[:40]!r}..."
+    with pytest.raises(OutOfBounds, match="^non-integer component in '"):
+        parse_vector("(x," + "7" * 5000 + ")")
 
 
 @given(

@@ -1,6 +1,7 @@
 """Stable matchings: parsing, deferred acceptance, enumeration, medians."""
 
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from latmed import order_core
 from latmed.errors import (
     IndexOutOfRange,
+    LatmedError,
     JOutOfRange,
     MalformedFile,
     NotAPermutation,
@@ -33,6 +35,7 @@ from latmed.stable_matching import (
     woman_of,
 )
 from latmed.verify import block_swap_instance, random_smp_instance
+from test_market_clearing import read_outcome, respelled
 
 
 def brute_force_stable_set(inst):
@@ -192,6 +195,68 @@ def test_parse_rejects_malformed():
         with pytest.raises(error) as caught:
             parse_instance(text)
         assert type(caught.value) is error and str(caught.value) == message, text
+
+
+def assert_routes_agree(text):
+    # one more "\n" leaves the meaning and, after a final newline, sends
+    # the text line by line
+    want = read_outcome(parse_instance, text + "\n")
+    assert read_outcome(parse_instance, text) == want, text[:60]
+
+
+def written_flag(text):
+    """parse_rows' report of whether text is the writer's, None if refused."""
+    try:
+        return order_core.parse_rows(text, "smp", (), ("man", "woman"), "p", "e")[2]
+    except LatmedError:
+        return None
+
+
+def test_parse_instance_routes_agree_on_random_spellings():
+    # the writer's text is decoded whole and flagged so; it and any
+    # respelling read, or are refused, as line by line
+    rng = random.Random(25)
+    for _ in range(3000):
+        inst = random_smp_instance(rng, rng.randint(1, 6))
+        text = serialize_instance(inst)
+        assert written_flag(text) is True
+        assert parse_instance(text) == parse_instance(text + "\n") == inst
+        spelling = respelled(rng, text)
+        assert_routes_agree(spelling)
+        for t in (spelling, spelling + "\n"):
+            assert written_flag(t) in (t == text, None), t
+
+
+def test_parse_instance_falls_back_late():
+    # texts that pass both scans and the line pattern yet are not what
+    # serialize_instance prints: the JSON decode or the checks after it
+    # refuse them, and they read or are refused as line by line
+    rows = "man 0: 0 1\nman 1: 1 0\nwoman 0: 0 1\nwoman 1: 1 0\n"
+    cases = [
+        "smp 2\n" + rows.replace("man 1:", "man 2:", 1),  # a wrong man index
+        "smp 2\nman 0: 0 1\nman 1: 1 0\nman 2: 0 1\nwoman 0: 1 0\n",  # 3 man rows, 1 woman
+        "smp 2\n" + rows.replace("man 0: 0 1", "man 0: 0", 1),  # a short row
+        "smp 2\n" + rows.replace("man 0: 0 1", "man 0: 0 1 1", 1),  # a long row
+        "smp 2\n" + rows.replace("man 0: 0 1", "man 0: 0 01", 1),  # a leading zero
+        "smp 1\nman 0: " + "7" * 5000 + "\nwoman 0: 0\n",  # more digits than int() reads
+    ]
+    pattern = order_core._written_lines("smp", 0, ("man", "woman"))
+    for text in cases:
+        assert "  " not in text and " \n" not in text
+        assert pattern.fullmatch(text), text[:60]
+        assert written_flag(text) in (False, None)
+        assert_routes_agree(text)
+    assert parse_instance(cases[4]) == parse_instance("smp 2\n" + rows)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts decimal integers of any length")
+def test_overlong_preference_is_named():
+    line = "man 0: " + "7" * 5000
+    with pytest.raises(MalformedFile) as caught:
+        parse_instance(f"smp 1\n{line}\nwoman 0: 0\n")
+    limit = sys.get_int_max_str_digits()
+    assert str(caught.value) == f"preference with more than {limit} digits in {line[:40]!r}..."
 
 
 def test_assignment_round_trip():
