@@ -156,8 +156,8 @@ print(json.dumps({
     "explicit_lattice": timed(f"the vector sets of the {catalog}",
                               lambda: [oc.explicit_lattice(v) for v in vector_sets]),
     "birkhoff_round_trip": timed(
-        f"the {catalog} as explicit_lattice returns them, so already decomposed "
-        "where a Poset caches its Birkhoff decomposition",
+        f"the {catalog} as explicit_lattice returns them; a Poset caches the "
+        "Birkhoff decomposition the first repeat makes, so the median times the checks",
         lambda: [oc.birkhoff_round_trip(lat) for lat in lattices]),
     "regularity_gate_battery": timed(
         f"{cfg.gate_trials} trials from a generator of their own",

@@ -5,8 +5,9 @@ all satisfy a predicate whose satisfying set is closed under meet and
 join, then so does every coordinatewise order statistic of the family.
 `lattice_median` implements the construction over count vectors,
 `order_core` supplies the Birkhoff encoding that justifies the vector
-view on its one order type, `Poset` (built from cover pairs, or from
-count vectors checked to form a distributive lattice), and
+view on its one order type, `Poset` (built from cover pairs or from
+count vectors, and checked to be a distributive lattice by its Birkhoff
+round trip), and
 `stable_matching` / `market_clearing` instantiate it on two concrete
 lattices. Stable matchings are enumerated by walking rotations
 up from the men-optimal matching; the brute-force search over perfect

@@ -23,10 +23,6 @@ class NotALattice(LatmedError):
     pass
 
 
-class NotDistributive(LatmedError):
-    pass
-
-
 # --- count vectors and bounds ---
 
 class OutOfBounds(LatmedError):

@@ -2,7 +2,9 @@
 
 Elements of a finite distributive lattice are encoded as vectors of
 per-chain prefix counts over a chain partition of its poset of
-join-irreducibles (Birkhoff representation). Count vectors are plain
+join-irreducibles (Birkhoff representation). `birkhoff_round_trip`
+checks that representation, which holds exactly when a poset is a
+distributive lattice; nothing else here checks that. Count vectors are plain
 tuples of ints throughout. Componentwise min and max are the meet and
 join of count vectors, not of every explicit lattice: one given as
 indicator vectors, or the square (0,0) < (1,2), (2,1) < (2,2), has its
@@ -32,7 +34,6 @@ from .errors import (
     EmptyInput,
     MalformedFile,
     NotALattice,
-    NotDistributive,
     OutOfBounds,
     ShapeMismatch,
     SizeMismatch,
@@ -85,11 +86,12 @@ def format_vector(v) -> str:
     return "(" + ",".join(map(str, v)) + ")"
 
 
-def _int_refusal(noun, quoted, tokens):
-    """The message for int() refusing one of `tokens`, read from `quoted`:
-    the first token it refuses is no integer, or a decimal integer with more
-    digits than int() converts (sys.get_int_max_str_digits()), whose message
-    quotes only a prefix of `quoted`."""
+def _int_refusal(noun, quoted, tokens, other=None):
+    """The message for int() refusing one of `tokens`, read from `quoted`.
+    The first token it refuses is a decimal integer with more digits than
+    int() converts (sys.get_int_max_str_digits()), whose message names that
+    cause and quotes only a prefix of `quoted`, or no integer, whose message
+    is `other`, by default 'non-integer <noun> in <quoted>'."""
     for t in tokens:
         try:
             int(t)
@@ -98,7 +100,7 @@ def _int_refusal(noun, quoted, tokens):
                 limit = sys.get_int_max_str_digits()
                 return f"{noun} with more than {limit} digits in {quoted[:40]!r}..."
             break
-    return f"non-integer {noun} in {quoted!r}"
+    return other or f"non-integer {noun} in {quoted!r}"
 
 
 def parse_vector(text: str):
@@ -164,12 +166,13 @@ def parse_rows(text, kind, optional, labels, noun, row_noun):
     if not lines or not lines[0].startswith(kind + " "):
         spec = " ".join([kind, "<n>", *(f"[{name}]" for name in optional)])
         raise MalformedFile(f"expected header '{spec}'")
+    header, bad = lines[0].split()[1:], f"bad header {lines[0]!r}"
     try:
-        n, *extras = map(int, lines[0].split()[1:])
+        n, *extras = map(int, header)
     except ValueError:
-        extras = None
-    if extras is None or len(extras) > len(optional):
-        raise MalformedFile(f"bad header {lines[0]!r}")
+        raise MalformedFile(_int_refusal("header integer", lines[0], header, bad)) from None
+    if len(extras) > len(optional):
+        raise MalformedFile(bad)
     if n < 1:
         raise MalformedFile(f"instance size must be positive, got {n}")
     if len(lines) != 1 + len(labels) * n:
@@ -208,8 +211,9 @@ class Poset:
 
     Bit j of `down[i]` is set exactly when elements[j] <= elements[i], so
     every mask holds its own bit. It has two builders: `poset_from_covers`
-    from cover pairs, and `explicit_lattice` from count vectors, checked
-    to form a distributive lattice. Everything else is read off the masks.
+    from cover pairs, and `explicit_lattice` from distinct count vectors.
+    Neither checks for a lattice; `birkhoff_round_trip` decides whether the
+    order is a distributive one. Everything else is read off the masks.
     """
 
     elements: tuple
@@ -319,18 +323,22 @@ def chain_partition(poset: Poset):
 # order ideals
 
 
-def _ideal_masks(down):
-    """Every down-set of the order given by `down` masks, as a mask.
+def _ideal_masks(down, most=None):
+    """Every down-set of the order given by `down` masks, as a mask, or
+    None once there are more than `most`.
 
     Elements are added along a linear extension, each to every down-set
     found so far that holds all the elements strictly below it; a
     down-set arises once, when its last element in that order is added.
-    Lists on the way hold down-sets of the whole order: the check is exact.
+    Lists on the way hold down-sets of the whole order: both bounds, `most`
+    and then ENUM_LIMIT, are exact.
     """
     ideals = [0]
     for i in sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i)):
         strict = down[i] ^ (1 << i)
         ideals += [m | 1 << i for m in ideals if m & strict == strict]
+        if most is not None and len(ideals) > most:
+            return None
         check_enum_limit(len(ideals), "ideals")
     return ideals
 
@@ -354,14 +362,11 @@ def all_ideals(poset: Poset, chains):
 
 
 def explicit_lattice(vectors) -> Poset:
-    """Distinct count vectors under the componentwise order, as a Poset
-    checked to be a distributive lattice.
+    """Distinct count vectors under the componentwise order, as a Poset.
 
     Any finite lattice can be given as the 0/1 indicator vectors of its
-    elements' down-sets. One pass over the pairs checks each for a unique
-    meet (its common lower bounds are one element's down mask), then a
-    unique join (likewise with up masks), then Birkhoff's distributivity
-    test: the join's image is the union of the two images.
+    elements' down-sets. The vectors need not form a lattice, let alone a
+    distributive one: `birkhoff_round_trip` decides that.
     """
     vectors = tuple(vector_family(vectors))
     if len(set(vectors)) != len(vectors):
@@ -370,24 +375,7 @@ def explicit_lattice(vectors) -> Poset:
     for (i, u), (j, v) in product(enumerate(vectors), repeat=2):
         if all(map(le, u, v)):
             down[j] |= 1 << i
-    lat = Poset(elements=vectors, down=tuple(down))
-    up, downs = lat.up, set(down)
-    by_up = {m: i for i, m in enumerate(up)}
-    images = lat.irreducible_images[1]
-    for i, a in enumerate(vectors):
-        for j in range(i + 1, len(vectors)):
-            b = vectors[j]
-            if down[i] & down[j] not in downs:
-                raise NotALattice(f"no unique meet for ({a}, {b})")
-            k = by_up.get(up[i] & up[j])
-            if k is None:
-                raise NotALattice(f"no unique join for ({a}, {b})")
-            if images[k] != images[i] | images[j]:
-                raise NotDistributive(
-                    f"join-irreducibles below {a} v {b} are not those below "
-                    f"{a} or {b}"
-                )
-    return lat
+    return Poset(elements=vectors, down=tuple(down))
 
 
 def join_irreducibles(poset: Poset) -> Poset:
@@ -404,11 +392,14 @@ def birkhoff_round_trip(poset: Poset):
 
     Verifies the map is an order isomorphism onto the order ideals of the
     join-irreducible sub-poset, which holds exactly when the poset is a
-    finite distributive lattice, and returns that sub-poset.
+    finite distributive lattice, and returns that sub-poset. Ideals are
+    listed only while they are no more than the elements, so M14 (fourteen
+    atoms) is refused at once.
     """
     jp = join_irreducibles(poset)
     images = poset.irreducible_images[1]
-    if sorted(images) != sorted(_ideal_masks(jp.down)):
+    ideals = _ideal_masks(jp.down, len(images))
+    if ideals is None or sorted(images) != sorted(ideals):
         raise NotALattice("element-to-ideal map is not a bijection onto the ideals")
     els = poset.elements
     for i, a in enumerate(els):

@@ -223,6 +223,20 @@ def test_overlong_valuation_is_named():
     assert str(caught.value) == f"valuation with more than {limit} digits in {line[:40]!r}..."
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts decimal integers of any length")
+def test_overlong_header_integer_is_named():
+    # the cause is named and only a prefix quoted, as for a valuation; a
+    # non-integer header token still quotes the whole header
+    header = "market 1 " + "7" * 5000
+    with pytest.raises(MalformedFile) as caught:
+        read_market(f"{header}\nbuyer 0: 1\n")
+    limit = sys.get_int_max_str_digits()
+    assert str(caught.value) == f"header integer with more than {limit} digits in {header[:40]!r}..."
+    with pytest.raises(MalformedFile, match="^bad header 'market x 7+'$"):
+        read_market("market x " + "7" * 5000 + "\nbuyer 0: 1\n")
+
+
 def test_demand_graph_argmax_semantics():
     inst = market_instance([[3, 1], [2, 2]])
     # buyer 1 is indifferent at (0, 0); only with the tie kept can it take

@@ -1,21 +1,23 @@
 """Poset, chain partition, ideal enumeration, and explicit lattice checks."""
 
 import random
+import re
 import sys
 import time
 from itertools import combinations, permutations, product
+from operator import le
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latmed
-from latmed import order_core
+from latmed import errors, order_core
 from latmed.errors import (
     CycleDetected,
     EmptyInput,
     NotALattice,
-    NotDistributive,
     OutOfBounds,
     ShapeMismatch,
     TooLarge,
@@ -141,11 +143,29 @@ def dfs_reach(n, edges):
 
 
 def greatest_common_bound(family, a, b, leq):
-    # oracle: the common lower bound of a and b above every other one
+    # oracle: the common lower bound of a and b above every other one, or
+    # None where there is none
     common = [z for z in family if leq(z, a) and leq(z, b)]
     best = [z for z in common if all(leq(w, z) for w in common)]
-    assert len(best) == 1
-    return best[0]
+    return best[0] if best else None
+
+
+def componentwise_leq(a, b):
+    return all(map(le, a, b))
+
+
+def distributive_lattice_failure(vectors):
+    # oracle: under the componentwise order, a pair with no greatest common
+    # lower bound or no least common upper bound, else the first triple
+    # where meet fails to distribute over join, else None
+    meets, joins = {}, {}
+    for a, b in product(vectors, repeat=2):
+        meets[a, b] = greatest_common_bound(vectors, a, b, componentwise_leq)
+        joins[a, b] = greatest_common_bound(vectors, a, b, lambda x, y: componentwise_leq(y, x))
+        if meets[a, b] is None or joins[a, b] is None:
+            return a, b
+    return distributivity_failure(
+        vectors, lambda x, y: meets[x, y], lambda x, y: joins[x, y])
 
 
 def subset(a, b):
@@ -167,25 +187,18 @@ def indicator_vectors(masks, m):
     return [tuple(x >> k & 1 for k in range(m)) for x in masks]
 
 
-def closure_join(family):
-    def least_upper(a, b):
-        # least member containing both: the closure of the union
-        return min((f for f in family if subset(a | b, f)), key=int.bit_count)
-    return least_upper
-
-
-def check_distributivity_verdict(family, m):
-    # explicit_lattice on the indicator vectors of a closure system must
-    # refuse it exactly when the triple loop finds a failure; returns
-    # whether the system is distributive
-    distributive = distributivity_failure(family, int.__and__, closure_join(family)) is None
-    vectors = indicator_vectors(family, m)
-    if distributive:
-        explicit_lattice(vectors)
-    else:
-        with pytest.raises(NotDistributive):
-            explicit_lattice(vectors)
-    return distributive
+def check_distributivity_verdict(vectors):
+    # the round trip of the vectors' explicit lattice must refuse exactly
+    # when the oracle finds a failure, and otherwise return the
+    # join-irreducibles; returns whether the vectors form a distributive
+    # lattice
+    lat = explicit_lattice(vectors)
+    if distributive_lattice_failure(vectors) is None:
+        assert birkhoff_round_trip(lat) == join_irreducibles(lat)
+        return True
+    with pytest.raises(NotALattice):
+        birkhoff_round_trip(lat)
+    return False
 
 
 def down_set_masks(elements, pairs):
@@ -422,20 +435,24 @@ def test_explicit_lattice_meets_joins_componentwise():
                 assert up[idx[join(a, b)]] == up[idx[a]] & up[idx[b]]
 
 
+NO_BIJECTION = "element-to-ideal map is not a bijection onto the ideals"
+
+
 def refusal(vectors):
-    # the exception explicit_lattice raises, as (class, message)
-    with pytest.raises((NotALattice, NotDistributive)) as info:
-        explicit_lattice(vectors)
-    return type(info.value), str(info.value)
+    # the message the round trip of the vectors' explicit lattice refuses with
+    with pytest.raises(NotALattice) as info:
+        birkhoff_round_trip(explicit_lattice(vectors))
+    return str(info.value)
 
 
-def test_explicit_lattice_rejects_non_lattice():
+def test_round_trip_refuses_vectors_of_no_lattice():
     # two incomparable elements with no common lower bound, then with a
-    # common lower bound but no common upper bound
-    assert refusal([(1, 0), (0, 1)]) == (
-        NotALattice, "no unique meet for ((1, 0), (0, 1))")
-    assert refusal([(0, 0), (1, 0), (0, 1)]) == (
-        NotALattice, "no unique join for ((1, 0), (0, 1))")
+    # common lower bound but no common upper bound: explicit_lattice builds
+    # both orders, and the round trip refuses them
+    for vectors in ([(1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)]):
+        assert len(explicit_lattice(vectors).elements) == len(vectors)
+        assert not check_distributivity_verdict(vectors)
+        assert refusal(vectors) == NO_BIJECTION
 
 
 def test_explicit_lattice_meets_are_read_off_the_masks():
@@ -455,22 +472,18 @@ def test_explicit_lattice_refuses_empty_and_duplicate_input():
         explicit_lattice([(0,), (1,), (0,)])
 
 
-def test_explicit_lattice_rejects_diamond():
+def test_round_trip_refuses_diamond_vectors():
     for elements, pairs in (DIAMOND, times_two_chain(*DIAMOND)):
-        family = down_set_masks(elements, pairs)
-        assert not check_distributivity_verdict(family, len(elements))
-    # the first pair refused, in the indicator vectors of bot, p, q, r, top
-    assert refusal(indicator_vectors(down_set_masks(*DIAMOND), 5)) == (
-        NotDistributive,
-        "join-irreducibles below (1, 1, 0, 0, 0) v (1, 0, 1, 0, 0) are not "
-        "those below (1, 1, 0, 0, 0) or (1, 0, 1, 0, 0)",
-    )
+        vectors = indicator_vectors(down_set_masks(elements, pairs), len(elements))
+        assert not check_distributivity_verdict(vectors)
+    # the three irreducible atoms of bot, p, q, r, top have 8 ideals
+    assert refusal(indicator_vectors(down_set_masks(*DIAMOND), 5)) == NO_BIJECTION
 
 
-def test_explicit_lattice_rejects_pentagon():
+def test_round_trip_refuses_pentagon_vectors():
     for elements, pairs in (PENTAGON, times_two_chain(*PENTAGON)):
-        family = down_set_masks(elements, pairs)
-        assert not check_distributivity_verdict(family, len(elements))
+        vectors = indicator_vectors(down_set_masks(elements, pairs), len(elements))
+        assert not check_distributivity_verdict(vectors)
 
 
 def test_distributivity_matches_triple_loop_on_closure_systems():
@@ -478,8 +491,35 @@ def test_distributivity_matches_triple_loop_on_closure_systems():
     outcomes = {True: 0, False: 0}
     for _ in range(500):
         m = rng.randint(2, 5)
-        outcomes[check_distributivity_verdict(random_closure_system(rng, m), m)] += 1
+        vectors = indicator_vectors(random_closure_system(rng, m), m)
+        outcomes[check_distributivity_verdict(vectors)] += 1
     assert min(outcomes.values()) > 100  # both verdicts are exercised
+
+
+def test_distributivity_matches_triple_loop_on_random_vectors():
+    # most random sets form no lattice; chains and small boxes do
+    rng = random.Random(43)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1000):
+        d = rng.randint(1, 3)
+        vectors = sorted({tuple(rng.randint(0, 3) for _ in range(d))
+                          for _ in range(rng.randint(1, 8))})
+        rng.shuffle(vectors)  # element order then need not be a linear extension
+        outcomes[check_distributivity_verdict(vectors)] += 1
+    assert min(outcomes.values()) > 200  # both verdicts are exercised
+
+
+def test_round_trip_stops_listing_ideals_past_the_element_count():
+    # M14, a bottom and a top around 14 atoms, and the fan, a bottom under
+    # 20 atoms, have 2^14 and 2^20 ideals of irreducibles for 16 and 21
+    # elements: both are refused long before ENUM_LIMIT ideals are listed
+    atoms = [f"a{i}" for i in range(20)]
+    m14 = poset_from_covers(["bot", *atoms[:14], "top"],
+                            [("bot", a) for a in atoms[:14]] + [(a, "top") for a in atoms[:14]])
+    fan = poset_from_covers(["bot", *atoms], [("bot", a) for a in atoms])
+    for poset in (m14, fan):
+        with pytest.raises(NotALattice, match=f"^{NO_BIJECTION}$"):
+            birkhoff_round_trip(poset)
 
 
 def test_join_irreducibles_match_lower_cover_filter():
@@ -489,9 +529,10 @@ def test_join_irreducibles_match_lower_cover_filter():
         m = rng.randint(2, 5)
         family = random_closure_system(rng, m)
         vectors = indicator_vectors(family, m)
+        lat = explicit_lattice(vectors)
         try:
-            lat = explicit_lattice(vectors)
-        except NotDistributive:
+            birkhoff_round_trip(lat)
+        except NotALattice:
             continue
         checked += 1
         irr = [x for x in vectors if len(brute_force_lower_covers(lat, vectors, x)) == 1]
@@ -620,3 +661,13 @@ def test_birkhoff_round_trip_checks_the_order_beyond_the_bijection():
 def test_public_names_resolve_sorted_and_unique():
     assert all(hasattr(latmed, name) for name in latmed.__all__)
     assert latmed.__all__ == sorted(set(latmed.__all__))
+
+
+def test_every_error_class_is_named_outside_errors():
+    # a class no other module names is raised nowhere
+    texts = [p.read_text() for p in Path(errors.__file__).parent.glob("*.py")
+             if p.name != "errors.py"]
+    names = [name for name, cls in vars(errors).items() if isinstance(cls, type)
+             and issubclass(cls, errors.LatmedError) and cls is not errors.LatmedError]
+    assert len(names) > 10
+    assert [n for n in names if not any(re.search(rf"\b{n}\b", t) for t in texts)] == []

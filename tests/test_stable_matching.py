@@ -259,6 +259,16 @@ def test_overlong_preference_is_named():
     assert str(caught.value) == f"preference with more than {limit} digits in {line[:40]!r}..."
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts decimal integers of any length")
+def test_overlong_header_integer_is_named():
+    header = "smp " + "7" * 5000
+    with pytest.raises(MalformedFile) as caught:
+        parse_instance(f"{header}\nman 0: 0\nwoman 0: 0\n")
+    limit = sys.get_int_max_str_digits()
+    assert str(caught.value) == f"header integer with more than {limit} digits in {header[:40]!r}..."
+
+
 def test_assignment_round_trip():
     inst = smp_instance([[1, 0], [0, 1]], [[0, 1], [1, 0]])
     g = (0, 0)  # man 0's rank 0 is woman 1, man 1's rank 0 is woman 0
