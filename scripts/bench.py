@@ -40,7 +40,7 @@ LAYER_PROCESSES = 5  # layer-script runs per side
 
 # timed in a fresh interpreter against one side's src/
 LAYERS = r"""
-import json, random, statistics, sys
+import itertools, json, random, statistics, sys
 from time import perf_counter
 from latmed import bipartite, lattice_median as lm, market_clearing as mc, order_core as oc
 from latmed import stable_matching as sm
@@ -78,6 +78,9 @@ chain = oc.poset_from_covers(range(1200), [(i, i + 1) for i in range(1199)])
 vector_sets = [lat.elements for _, lat in
                chain_product_lattices(cfg.birkhoff_max_elements) + fixed_lattices()]
 lattices = [oc.explicit_lattice(v) for v in vector_sets]
+vector_pairs = [(v[i], v[j]) for v in vector_sets for i in range(len(v))
+                for j in range(i + 1, len(v))]
+box = list(itertools.product(range(10), range(6), range(6)))
 catalog = f"{len(vector_sets)} catalog lattices of up to {cfg.birkhoff_max_elements} elements"
 smp_text, market_text = sm.serialize_instance(smp), mc.serialize_market(market)
 clearing = mc.min_clearing_prices(market)
@@ -135,17 +138,14 @@ print(json.dumps({
     "median_clearing": timed(
         "the n = 200 market, j = 2 of its minimum clearing prices and two uniform shifts",
         lambda: mc.median_clearing(market, clearing_family, 2)),
-    "market_digest_source": timed(
-        "the n = 200 market's canonical text, read and its digest source taken",
-        lambda: mc.read_market(market_text)),
-    "market_digest_source_signed": timed(
-        "the n = 200 market's text with its last value written +v, "
-        "read and its digest source taken",
-        lambda: mc.read_market(signed_text)),
-    "market_digest_source_zero": timed(
-        "the n = 200 market's text with a leading zero on its last value, "
-        "read and its digest source taken",
-        lambda: mc.read_market(zero_text)),
+    "parse_market_signed": timed(
+        "the n = 200 market's text with its last value written +v, refused at the "
+        "line pattern's end and read line by line",
+        lambda: mc.parse_market(signed_text)),
+    "parse_market_zero": timed(
+        "the n = 200 market's text with a leading zero on its last value, refused at "
+        "the JSON decode's end and read line by line",
+        lambda: mc.parse_market(zero_text)),
     "parse_instance": timed("the n = 400 instance's text",
                             lambda: sm.parse_instance(smp_text)),
     "parse_instance_respelled": timed(
@@ -159,6 +159,11 @@ print(json.dumps({
         f"the {catalog} as explicit_lattice returns them; a Poset caches the "
         "Birkhoff decomposition the first repeat makes, so the median times the checks",
         lambda: [oc.birkhoff_round_trip(lat) for lat in lattices]),
+    "meet_join": timed(
+        f"every pair of each vector set of the {catalog}, {len(vector_pairs)} pairs",
+        lambda: [(oc.meet(u, v), oc.join(u, v)) for u, v in vector_pairs]),
+    "check_regular": timed("the 10 x 6 x 6 chain product, 360 elements, closed",
+                           lambda: lm.check_regular(box)),
     "regularity_gate_battery": timed(
         f"{cfg.gate_trials} trials from a generator of their own",
         lambda: regularity_gate_battery(random.Random(seed), cfg.gate_trials)),

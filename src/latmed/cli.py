@@ -4,11 +4,11 @@ Every invocation prints a deterministic report: result lines, then
 violation lines. With --json the same report is emitted as one JSON
 object {command, digest, results, violations, seed}. The digest is the
 first 12 hex chars of sha256 over the canonical serialization of the
-inputs, so identical inputs are recognizable across runs. Market files
-are read by market_clearing.read_market, which also gives the text to
-hash: the file as read when it is already canonical. Exit status: 0
-clean, 1 for violations or domain errors (reported by error class name),
-2 for usage errors.
+inputs, so identical inputs are recognizable across runs. Instance files
+are read by stable_matching.parse_instance and market_clearing.parse_market,
+which also give the text to hash: the file as read when it is already
+canonical. Exit status: 0 clean, 1 for violations, domain errors (reported
+by error class name) and file errors, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -84,37 +85,36 @@ def cmd_lattice_check_regular(ns):
     return _vectors_text(vectors), [], [line]
 
 
+def _read(path, parse):
+    return parse(Path(path).read_text())
+
+
 # --- smp ---------------------------------------------------------------
 
-def _read_smp(path):
-    return sm.parse_instance(Path(path).read_text())
-
-
 def cmd_smp_solve(ns):
-    inst = _read_smp(ns.file)
+    inst, src = _read(ns.file, sm.parse_instance)
     g = sm.gale_shapley(inst, ns.side)
-    return sm.serialize_instance(inst), [format_vector(g)], []
+    return src, [format_vector(g)], []
 
 
 def cmd_smp_enumerate(ns):
-    inst = _read_smp(ns.file)
+    inst, src = _read(ns.file, sm.parse_instance)
     stable = sm.all_stable_matchings(inst)
-    return sm.serialize_instance(inst), [format_vector(g) for g in stable], []
+    return src, [format_vector(g) for g in stable], []
 
 
 def cmd_smp_median(ns):
-    inst = _read_smp(ns.file)
+    inst, src = _read(ns.file, sm.parse_instance)
     matchings = _read_vectors(ns.matchings)
     med = sm.median_stable(inst, matchings, ns.j)
-    src = sm.serialize_instance(inst) + _vectors_text(matchings)
-    return src, [format_vector(med)], []
+    return src + _vectors_text(matchings), [format_vector(med)], []
 
 
 def cmd_smp_verify(ns):
-    inst = _read_smp(ns.file)
+    inst, src = _read(ns.file, sm.parse_instance)
     g = parse_vector(ns.matching)
     report = sm.stability_report(inst, g)
-    src = sm.serialize_instance(inst) + format_vector(g) + "\n"
+    src += format_vector(g) + "\n"
     if report.stable:
         return src, ["stable"], []
     if not report.is_matching:
@@ -124,12 +124,8 @@ def cmd_smp_verify(ns):
 
 # --- market ------------------------------------------------------------
 
-def _read_market(path):
-    return mc.read_market(Path(path).read_text())
-
-
 def cmd_market_clear(ns):
-    inst, src = _read_market(ns.file)
+    inst, src = _read(ns.file, mc.parse_market)
     prices = mc.min_clearing_prices(inst)
     # the auction's own matching depends on the rounds it took; a cold
     # matching on the final demand sets is the one the report prints
@@ -142,20 +138,20 @@ def cmd_market_clear(ns):
 
 
 def cmd_market_enumerate(ns):
-    inst, src = _read_market(ns.file)
+    inst, src = _read(ns.file, mc.parse_market)
     clearing = mc.enumerate_clearing_vectors(inst)
     return src, [format_vector(p) for p in clearing], []
 
 
 def cmd_market_median(ns):
-    inst, src = _read_market(ns.file)
+    inst, src = _read(ns.file, mc.parse_market)
     prices = _read_vectors(ns.prices)
     med = mc.median_clearing(inst, prices, ns.j)
     return src + _vectors_text(prices), [format_vector(med)], []
 
 
 def cmd_market_verify(ns):
-    inst, src = _read_market(ns.file)
+    inst, src = _read(ns.file, mc.parse_market)
     p = parse_vector(ns.prices)
     src += format_vector(p) + "\n"
     if mc.is_market_clearing(inst, p):
@@ -261,7 +257,8 @@ def build_parser():
     p.add_argument("--instances", type=int, default=None,
                    help="stable-matching instance count; other batteries scale")
     p.add_argument("--trials", type=int, default=None,
-                   help="trial count for randomized checks")
+                   help="median subsets per stable-matching instance (default 20); "
+                        "0 runs nothing")
     p.add_argument("--max-n", type=int, help="cap instance sizes below the defaults")
     return parser
 
@@ -309,8 +306,14 @@ def dispatch(argv):
 
 
 def main(argv=None):
-    report = dispatch(sys.argv[1:] if argv is None else argv)
-    return report.exit_code
+    try:
+        return dispatch(sys.argv[1:] if argv is None else argv).exit_code
+    except BrokenPipeError:
+        # stdout's reader is gone: send the flush at exit to devnull, a file error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

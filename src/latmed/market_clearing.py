@@ -56,11 +56,6 @@ def market_instance(valuations, price_cap=None):
     return MarketInstance(n=n, valuations=vals, price_cap=price_cap)
 
 
-def parse_market(text):
-    """Read the `market <n> [cap]` text format (see serialize_market)."""
-    return read_market(text)[0]
-
-
 def serialize_market(inst):
     lines = [f"market {inst.n} {inst.price_cap}"]
     for i, row in enumerate(inst.valuations):
@@ -68,10 +63,10 @@ def serialize_market(inst):
     return "\n".join(lines) + "\n"
 
 
-def read_market(text):
-    """The market a text holds, and the text its digest is taken over: the
-    text itself when it is byte for byte what serialize_market prints, else
-    that serialization."""
+def parse_market(text):
+    """Read the `market <n> [cap]` text format. Returns the market and the
+    text its digest is taken over: the text itself when it is byte for byte
+    what serialize_market prints, else that serialization."""
     cap, (rows,), written = parse_rows(text, "market", ("cap",), ("buyer",), "valuation",
                                        "valuations")
     # a written text has n >= 1, its shape is checked and the pattern admits

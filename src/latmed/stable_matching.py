@@ -65,9 +65,13 @@ def smp_instance(men_prefs, women_prefs):
 
 
 def parse_instance(text):
-    """Read the `smp <n>` text format (see serialize_instance)."""
-    _, (men, women), _ = parse_rows(text, "smp", (), ("man", "woman"), "preference", "entries")
-    return smp_instance(men, women)
+    """Read the `smp <n>` text format. Returns the instance and the text its
+    digest is taken over: the text itself when it is byte for byte what
+    serialize_instance prints, else that serialization."""
+    _, (men, women), written = parse_rows(text, "smp", (), ("man", "woman"), "preference",
+                                          "entries")
+    inst = smp_instance(men, women)
+    return inst, text if written else serialize_instance(inst)
 
 
 def serialize_instance(inst):

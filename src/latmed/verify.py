@@ -44,7 +44,8 @@ class VerifyConfig:
 
     `None` keeps the default. `instances` replaces the stable-matching
     instance count and scales the other batteries' counts by the same
-    factor (at least 1 each); `trials` is the median subsets per instance;
+    factor (at least 1 each); `trials` is the median subsets drawn per
+    stable-matching instance alone, and 0 runs nothing (see verify_suite);
     `max_n` caps instance sizes, and can only lower the defaults. The repr
     (the digest source) and equality read the seed and the sizes only.
     """

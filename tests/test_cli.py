@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from latmed import cli
+from latmed import cli, stable_matching
 from latmed.cli import build_parser, dispatch, main
+from latmed.verify import block_swap_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SMP3 = str(FIXTURES / "smp3.txt")
@@ -298,6 +299,36 @@ def test_digest_ignores_formatting(capsys, tmp_path):
         assert digests(twin, market) == want, spelling[:40]
     twin.write_bytes(changed.encode())
     assert all(a and a != b for a, b in zip(digests(twin, market), want))
+
+
+def test_smp_commands_hash_a_written_file_as_read(capsys, monkeypatch, tmp_path):
+    # smp3.txt is as serialize_instance prints it, so no command prints it again
+    def refuse(inst):
+        raise AssertionError("a written instance serialised again")
+
+    text = Path(SMP3).read_text()
+    matchings = tmp_path / "matchings.txt"
+    matchings.write_text("(0,0,0)\n(1,1,0)\n")
+    monkeypatch.setattr(stable_matching, "serialize_instance", refuse)
+    for argv, extra in ((["solve"], ""), (["enumerate"], ""),
+                        (["median", "--matchings", str(matchings), "--j", "1"],
+                         matchings.read_text()),
+                        (["verify", "--matching", "(0,0,0)"], "(0,0,0)\n")):
+        report, _ = run(capsys, "smp", argv[0], SMP3, *argv[1:])
+        assert report.exit_code == 0, argv
+        assert report.digest == hashlib.sha256((text + extra).encode()).hexdigest()[:12]
+
+
+def test_closed_stdout_ends_without_traceback(tmp_path):
+    # 2^13 matchings, far more output than a pipe buffer holds
+    path = tmp_path / "cube.txt"
+    path.write_text(stable_matching.serialize_instance(block_swap_instance(13)))
+    proc = subprocess.Popen([sys.executable, "-m", "latmed.cli", "smp", "enumerate", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait() == 1 and "Traceback" not in stderr, stderr
 
 
 def test_verify_battery_deterministic(capsys):

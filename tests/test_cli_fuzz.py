@@ -10,12 +10,11 @@ never print: a leading zero or sign, an underscore, a non-ASCII digit or
 extra whitespace; files end in one, two or no newlines. An instance
 file whose header has more tokens than its format defines must be
 refused for that header: the instance is read before anything else.
-A market command that accepts a file gives the same report, digest
-included, on the canonical serialization of the market it read, however
-the file spelled it; `read_market` gives every drawn market text the
-instance `parse_market` reads and the text `serialize_market` prints, or
-the parser's refusal; and `parse_instance` reads, or refuses, every drawn
-smp text as it does that text read line by line.
+An smp or market command that accepts a file gives the same report,
+digest included, on the canonical serialization of the instance it read,
+however the file spelled it; and `parse_instance` and `parse_market` read
+every drawn text, or refuse it, as they do that text read line by line,
+giving as its digest text what the writer prints of the instance.
 """
 
 import contextlib
@@ -27,8 +26,8 @@ from hypothesis import strategies as st
 
 from latmed.cli import dispatch
 from latmed.market_clearing import parse_market, serialize_market
-from test_market_clearing import assert_reads_like_parser
-from test_stable_matching import assert_routes_agree
+from latmed.stable_matching import parse_instance, serialize_instance
+from test_market_clearing import assert_routes_agree
 
 ENTRY = st.integers(-2, 7)
 VALUATION = st.one_of(st.integers(0, 50), st.integers(0, 10**12))
@@ -98,6 +97,7 @@ def market_text(draw):
 
 
 HEADER_TOKENS = {"smp": 2, "market": 3}  # `smp <n>`, `market <n> [cap]`
+READERS = {"smp": (parse_instance, serialize_instance), "market": (parse_market, serialize_market)}
 
 
 def overlong_header(kind, path):
@@ -177,15 +177,16 @@ def test_cli_never_raises(tmp_path_factory, data):
     header = overlong_header(command[0], paths[0]) if command[0] in HEADER_TOKENS else None
     if header is not None and report.exit_code != 2:
         assert report.violations == (f"MalformedFile: bad header {header!r}",)
-    if command[0] in ("market", "smp"):
-        check = assert_reads_like_parser if command[0] == "market" else assert_routes_agree
-        with contextlib.suppress(UnicodeDecodeError):
-            check(paths[0].read_text())
-    if command[0] == "market" and report.exit_code == 0:
-        # the same report, digest too, on the writer's spelling of the market:
-        # fails if a spelling serialize_market would not print is hashed as read
+    if command[0] not in READERS:
+        return
+    parse, write = READERS[command[0]]
+    with contextlib.suppress(UnicodeDecodeError):
+        assert_routes_agree(parse, write, paths[0].read_text())
+    if report.exit_code == 0:
+        # the same report, digest too, on the writer's spelling of the instance:
+        # fails if a spelling the writer would not print is hashed as read
         canonical = work / "canonical.txt"
-        canonical.write_text(serialize_market(parse_market(paths[0].read_text())))
+        canonical.write_text(write(parse(paths[0].read_text())[0]))
         with contextlib.redirect_stdout(io.StringIO()):
             again = dispatch([str(canonical) if a == str(paths[0]) else a for a in argv])
         assert again == report

@@ -33,7 +33,6 @@ from latmed.market_clearing import (
     median_clearing,
     min_clearing_prices,
     parse_market,
-    read_market,
     serialize_market,
 )
 from latmed.order_core import join, meet
@@ -57,7 +56,8 @@ def test_instance_validation():
 
 def test_text_round_trip():
     inst = market_instance([[2, 1], [2, 0]], price_cap=4)
-    assert parse_market(serialize_market(inst)) == inst
+    text = serialize_market(inst)
+    assert parse_market(text) == (inst, text)
 
 
 def test_parse_rejects_malformed():
@@ -107,20 +107,25 @@ def read_outcome(read, text):
         return type(e), str(e)
 
 
-def parse_route(text):
-    """read_market's contract, through the parser and the writer alone."""
-    inst = parse_market(text)
-    return inst, serialize_market(inst)
+def assert_routes_agree(parse, write, text):
+    """parse reads text, or refuses it, as it reads the text line by line,
+    and takes the digest over what the writer prints of the instance."""
+    def by_lines(t):
+        # blank lines are skipped, and no text ending in one is the writer's
+        inst = parse(t + "\n\n")[0]
+        return inst, write(inst)
+
+    assert read_outcome(parse, text) == read_outcome(by_lines, text), text[:60]
 
 
-def assert_reads_like_parser(text):
-    assert read_outcome(read_market, text) == read_outcome(parse_route, text), text[:60]
+def assert_reads_like_lines(text):
+    assert_routes_agree(parse_market, serialize_market, text)
 
 
-def test_read_market_falls_back_late():
+def test_parse_market_falls_back_late():
     # texts that pass both scans and the line pattern yet are not what
     # serialize_market prints: the JSON decode or the shape checks refuse
-    # them, and the parser reads or refuses them as for any other spelling
+    # them, and they read or are refused as line by line
     cases = [
         "market 2 5\nbuyer 0: 1 2\nbuyer 2: 3 4\n",  # a wrong buyer index
         "market 1 5\nbuyer 0: 1\nbuyer 1: 2\n",  # one row too many
@@ -134,7 +139,7 @@ def test_read_market_falls_back_late():
     for text in cases:
         assert "  " not in text and " \n" not in text
         assert order_core._written_lines("market", 1, ("buyer",)).fullmatch(text), text[:60]
-        assert_reads_like_parser(text)
+        assert_reads_like_lines(text)
 
 
 def respelled(rng, text):
@@ -169,9 +174,9 @@ def respelled(rng, text):
     return ("\r\n" if end == "\r\n" else "\n").join(lines) + end
 
 
-def test_read_market_matches_parser_on_random_spellings():
-    # any text: read_market's instance and digest source are parse_market's
-    # and serialize_market's, or its refusal is the parser's
+def test_parse_market_matches_lines_on_random_spellings():
+    # any text: parse_market's instance and digest text are those of its
+    # line-by-line read and serialize_market, or its refusal is that read's
     rng = random.Random(23)
     for _ in range(3000):
         n = rng.randint(1, 6)
@@ -179,23 +184,24 @@ def test_read_market_matches_parser_on_random_spellings():
         inst = market_instance([[rng.randint(0, top) for _ in range(n)] for _ in range(n)],
                                rng.choice([None, rng.randint(0, 10**6)]))
         text = serialize_market(inst)
-        assert read_market(text) == (inst, text)
-        assert_reads_like_parser(respelled(rng, text))
+        assert parse_market(text) == (inst, text)
+        assert_reads_like_lines(respelled(rng, text))
     text, twins, changed = market60_twins()
     for spelling in [text, *twins, changed]:
-        assert_reads_like_parser(spelling)
+        assert_reads_like_lines(spelling)
 
 
-def test_read_market_canonical_text_skips_the_parser(monkeypatch):
-    # nor does it rerun market_instance's per-value checks
+def test_parse_market_canonical_text_skips_the_checks(monkeypatch):
+    # a written text neither reruns market_instance's per-value checks nor
+    # is printed again for its digest
     def refuse(*args):
-        raise AssertionError("the parser called on a canonical text")
+        raise AssertionError("a canonical text checked or printed again")
 
     texts = [Path(MARKET60).read_text(), "market 1 0\nbuyer 0: 7\n"]
-    want = [parse_market(t) for t in texts]
-    monkeypatch.setattr(market_clearing, "parse_market", refuse)
+    want = [parse_market(t + "\n")[0] for t in texts]
     monkeypatch.setattr(market_clearing, "market_instance", refuse)
-    assert [read_market(t) for t in texts] == list(zip(want, texts))
+    monkeypatch.setattr(market_clearing, "serialize_market", refuse)
+    assert [parse_market(t) for t in texts] == list(zip(want, texts))
 
 
 def test_parse_rows_flags_only_the_written_market():
@@ -218,7 +224,7 @@ def test_parse_rows_flags_only_the_written_market():
 def test_overlong_valuation_is_named():
     line = "buyer 0: " + "7" * 5000
     with pytest.raises(MalformedFile) as caught:
-        read_market(f"market 1 5\n{line}\n")
+        parse_market(f"market 1 5\n{line}\n")
     limit = sys.get_int_max_str_digits()
     assert str(caught.value) == f"valuation with more than {limit} digits in {line[:40]!r}..."
 
@@ -230,11 +236,11 @@ def test_overlong_header_integer_is_named():
     # non-integer header token still quotes the whole header
     header = "market 1 " + "7" * 5000
     with pytest.raises(MalformedFile) as caught:
-        read_market(f"{header}\nbuyer 0: 1\n")
+        parse_market(f"{header}\nbuyer 0: 1\n")
     limit = sys.get_int_max_str_digits()
     assert str(caught.value) == f"header integer with more than {limit} digits in {header[:40]!r}..."
     with pytest.raises(MalformedFile, match="^bad header 'market x 7+'$"):
-        read_market("market x " + "7" * 5000 + "\nbuyer 0: 1\n")
+        parse_market("market x " + "7" * 5000 + "\nbuyer 0: 1\n")
 
 
 def test_demand_graph_argmax_semantics():

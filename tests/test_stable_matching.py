@@ -34,8 +34,9 @@ from latmed.stable_matching import (
     stability_report,
     woman_of,
 )
-from latmed.verify import block_swap_instance, random_smp_instance
-from test_market_clearing import read_outcome, respelled
+from latmed.market_clearing import parse_market, serialize_market
+from latmed.verify import block_swap_instance, random_market_instance, random_smp_instance
+from test_market_clearing import assert_routes_agree, respelled
 
 
 def brute_force_stable_set(inst):
@@ -148,7 +149,8 @@ def test_text_round_trip():
         [[0, 1, 2], [1, 0, 2], [2, 1, 0]],
         [[1, 0, 2], [0, 1, 2], [2, 0, 1]],
     )
-    assert parse_instance(serialize_instance(inst)) == inst
+    text = serialize_instance(inst)
+    assert parse_instance(text) == (inst, text)
 
 
 def test_parse_rejects_malformed():
@@ -197,11 +199,8 @@ def test_parse_rejects_malformed():
         assert type(caught.value) is error and str(caught.value) == message, text
 
 
-def assert_routes_agree(text):
-    # one more "\n" leaves the meaning and, after a final newline, sends
-    # the text line by line
-    want = read_outcome(parse_instance, text + "\n")
-    assert read_outcome(parse_instance, text) == want, text[:60]
+def assert_reads_like_lines(text):
+    assert_routes_agree(parse_instance, serialize_instance, text)
 
 
 def written_flag(text):
@@ -220,9 +219,9 @@ def test_parse_instance_routes_agree_on_random_spellings():
         inst = random_smp_instance(rng, rng.randint(1, 6))
         text = serialize_instance(inst)
         assert written_flag(text) is True
-        assert parse_instance(text) == parse_instance(text + "\n") == inst
+        assert parse_instance(text) == parse_instance(text + "\n") == (inst, text)
         spelling = respelled(rng, text)
-        assert_routes_agree(spelling)
+        assert_reads_like_lines(spelling)
         for t in (spelling, spelling + "\n"):
             assert written_flag(t) in (t == text, None), t
 
@@ -245,8 +244,34 @@ def test_parse_instance_falls_back_late():
         assert "  " not in text and " \n" not in text
         assert pattern.fullmatch(text), text[:60]
         assert written_flag(text) in (False, None)
-        assert_routes_agree(text)
+        assert_reads_like_lines(text)
     assert parse_instance(cases[4]) == parse_instance("smp 2\n" + rows)
+
+
+@pytest.mark.parametrize("kind", ["smp", "market"])
+def test_digest_text_is_the_input_exactly_when_written(kind):
+    # a text parse_rows decodes whole is hashed as read, any other as the
+    # writer prints the instance read from it
+    parse, write, optional, labels = {
+        "smp": (parse_instance, serialize_instance, (), ("man", "woman")),
+        "market": (parse_market, serialize_market, ("cap",), ("buyer",)),
+    }[kind]
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        inst = (random_smp_instance(rng, n) if kind == "smp"
+                else random_market_instance(rng, n, rng.choice([3, 50, 10**6])))
+        text = write(inst)
+        for t in (text, respelled(rng, text)):
+            try:
+                got, source = parse(t)
+            except LatmedError:
+                continue
+            written = order_core.parse_rows(t, kind, optional, labels, "v", "vs")[2]
+            assert (source is t) is written and source == write(got), t
+            seen.add(written)
+    assert seen == {True, False}
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
@@ -344,7 +369,7 @@ def test_men_proposing_builds_no_men_rank_table():
     # each man ends with the last woman he proposed to, so his rank is read
     # off his proposal pointer; only the women's table decides proposals
     inst = parse_instance("smp 3\nman 0: 0 1 2\nman 1: 1 0 2\nman 2: 0 1 2\n"
-                          "woman 0: 1 0 2\nwoman 1: 0 1 2\nwoman 2: 0 1 2\n")
+                          "woman 0: 1 0 2\nwoman 1: 0 1 2\nwoman 2: 0 1 2\n")[0]
     assert all(type(row) is tuple for row in inst.men_prefs + inst.women_prefs)
     assert gale_shapley(inst, "men") == (0, 0, 2)
     assert "men_rank" not in vars(inst) and "women_rank" in vars(inst)

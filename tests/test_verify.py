@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from latmed import lattice_median, stable_matching, verify
+from latmed import lattice_median, market_clearing, stable_matching, verify
 from latmed.order_core import Poset, join, meet
 from latmed.verify import (
     PropertyResult,
@@ -15,9 +15,11 @@ from latmed.verify import (
     block_swap_instance,
     chain_product_lattices,
     fixed_lattices,
+    market_battery,
     worked_example_battery,
     regularity_gate_battery,
     smp_battery,
+    vector_family_battery,
     verify_suite,
 )
 
@@ -93,6 +95,76 @@ def test_gate_battery_catches_a_gate_that_refuses_everything(monkeypatch):
     r = regularity_gate_battery(random.Random(3), trials=60)
     assert not r.passed
     assert all("gate fired on a regular set" in f for f in r.failures)
+
+
+def test_gate_battery_catches_a_gate_that_refuses_nothing(monkeypatch):
+    # let through, an irregular set is scored and some median leaves it
+    monkeypatch.setattr(lattice_median, "check_regular", lambda elements: None)
+    r = regularity_gate_battery(random.Random(3), trials=60)
+    assert r.gated == 0
+    assert any("gate missed an irregular set" in f for f in r.failures)
+    assert any("left the set" in f for f in r.failures)
+
+
+def reversed_medians(medians):
+    return lambda vectors: medians(vectors)[::-1]
+
+
+@pytest.mark.parametrize("name, mutant, message", [
+    ("generalized_medians", reversed_medians(verify.generalized_medians),
+     "order-statistic medians gave ((1, 2), (0, 1), (0, 0))"),
+    ("medians_via_meet_join", reversed_medians(verify.medians_via_meet_join),
+     "meet/join medians gave ((1, 2), (0, 1), (0, 0))"),
+    ("meet", join, "pairwise meet/join disagree with expected values"),
+])
+def test_paper_example_row_catches_each_route(monkeypatch, name, mutant, message):
+    monkeypatch.setattr(verify, name, mutant)
+    r = worked_example_battery()
+    assert r.checked == 1 and message in r.failures
+
+
+def test_median_rows_catch_a_descending_family(monkeypatch):
+    monkeypatch.setattr(verify, "generalized_medians",
+                        reversed_medians(verify.generalized_medians))
+    inv = PropertyResult("median-invariants")
+    cross = vector_family_battery(random.Random(4), VerifyConfig(instances=20), inv)
+    assert cross.checked == inv.checked == 100
+    assert cross.failures and all(" != " in f for f in cross.failures)
+    assert inv.failures and all(": chain broken: " in f for f in inv.failures)
+
+
+def test_market_rows_catch_a_lost_minimum(monkeypatch):
+    # without its least clearing vector, the enumerated set is not closed
+    # under meet and no longer holds what the auction finds
+    real = market_clearing.enumerate_clearing_vectors
+    monkeypatch.setattr(market_clearing, "enumerate_clearing_vectors",
+                        lambda inst: real(inst)[1:])
+    rows = market_battery(random.Random(6), VerifyConfig(instances=40, trials=2),
+                          PropertyResult("median-invariants"))
+    closure, minimum, _ = rows
+    assert minimum.checked == 20 and len(minimum.failures) == 20
+    assert all(": auction (" in f and ") != minimum (" in f for f in minimum.failures)
+    assert closure.failures and all(" not clearing" in f for f in closure.failures)
+
+
+def test_market_row_catches_an_empty_box(monkeypatch):
+    monkeypatch.setattr(market_clearing, "enumerate_clearing_vectors", lambda inst: [])
+    closure, minimum, medians = market_battery(
+        random.Random(6), VerifyConfig(instances=40, trials=2),
+        PropertyResult("median-invariants"))
+    assert minimum.checked == 20
+    assert len(minimum.failures) == 20
+    assert all(f.endswith(": no clearing vector in the box") for f in minimum.failures)
+    assert closure.checked == medians.checked == 0  # each market is skipped past
+
+
+def test_birkhoff_row_reports_a_refused_lattice(monkeypatch):
+    # a catalog lattice that lost its top has two maximal elements, no lattice
+    real = verify.explicit_lattice
+    monkeypatch.setattr(verify, "explicit_lattice", lambda vectors: real(sorted(vectors)[:-1]))
+    r = birkhoff_battery(20)
+    assert r.checked > 0 and len(r.failures) == r.checked
+    assert all(": NotALattice: " in f for f in r.failures)
 
 
 def fixpoint_closure(vectors):
