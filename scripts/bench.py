@@ -44,10 +44,10 @@ import itertools, json, random, statistics, sys
 from time import perf_counter
 from latmed import bipartite, lattice_median as lm, market_clearing as mc, order_core as oc
 from latmed import stable_matching as sm
-from latmed.verify import (VerifyConfig, birkhoff_battery, block_swap_instance,
-                           chain_product_lattices, fixed_lattices,
-                           random_market_instance, random_smp_instance,
-                           regularity_gate_battery)
+from latmed.verify import (PropertyResult, VerifyConfig, birkhoff_battery,
+                           block_swap_instance, chain_product_lattices, fixed_lattices,
+                           market_battery, random_market_instance, random_smp_instance,
+                           regularity_gate_battery, smp_battery)
 
 def timed(size, fn, repeats=5):
     times = []
@@ -81,6 +81,7 @@ lattices = [oc.explicit_lattice(v) for v in vector_sets]
 vector_pairs = [(v[i], v[j]) for v in vector_sets for i in range(len(v))
                 for j in range(i + 1, len(v))]
 box = list(itertools.product(range(10), range(6), range(6)))
+closed12 = list(itertools.product(range(3), range(4)))
 catalog = f"{len(vector_sets)} catalog lattices of up to {cfg.birkhoff_max_elements} elements"
 smp_text, market_text = sm.serialize_instance(smp), mc.serialize_market(market)
 clearing = mc.min_clearing_prices(market)
@@ -164,6 +165,17 @@ print(json.dumps({
         lambda: [(oc.meet(u, v), oc.join(u, v)) for u, v in vector_pairs]),
     "check_regular": timed("the 10 x 6 x 6 chain product, 360 elements, closed",
                            lambda: lm.check_regular(box)),
+    "check_median_theorem": timed(
+        "the 3 x 4 chain product, 12 elements, closed: the exhaustive path, 1585 families",
+        lambda: lm.check_median_theorem(closed12)),
+    "explicit_lattice_box": timed("the 10 x 6 x 6 chain product, 360 elements",
+                                  lambda: oc.explicit_lattice(box)),
+    "smp_battery": timed(
+        f"the default config's {cfg.smp_instances} instances, from a generator of their own",
+        lambda: smp_battery(random.Random(seed), cfg, PropertyResult("median-invariants"))),
+    "market_battery": timed(
+        f"the default config's {cfg.market_instances} markets, from a generator of their own",
+        lambda: market_battery(random.Random(seed), cfg, PropertyResult("median-invariants"))),
     "regularity_gate_battery": timed(
         f"{cfg.gate_trials} trials from a generator of their own",
         lambda: regularity_gate_battery(random.Random(seed), cfg.gate_trials)),

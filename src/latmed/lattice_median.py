@@ -29,7 +29,11 @@ def generalized_medians(vectors):
     a multiset. The first output is the meet of all inputs, the last their
     join, and the outputs form a chain.
     """
-    vs = vector_family(vectors)
+    return _medians(vector_family(vectors))
+
+
+def _medians(vs):
+    # generalized_medians of a nonempty family of tuples of one length
     if not vs[0]:
         return [()] * len(vs)
     return list(zip(*map(sorted, zip(*vs))))
@@ -76,15 +80,17 @@ def check_regular(elements):
 
     A violation is returned as (x, y, "meet" | "join"). When `elements` is
     the complete satisfying set of a predicate, None decides that the
-    predicate is regular. Pairs are scanned in input order.
+    predicate is regular. Pairs are scanned in input order, meet before join,
+    after one shape check: mixed lengths are refused, an empty set is closed.
     """
     vs = [tuple(v) for v in elements]
-    members = set(vs)
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            for op, fn in (("meet", meet), ("join", join)):
-                if fn(vs[i], vs[j]) not in members:
-                    return vs[i], vs[j], op
+    members = set(vector_family(vs)) if vs else set()
+    for i, a in enumerate(vs):
+        for b in vs[i + 1:]:
+            if meet(a, b) not in members:
+                return a, b, "meet"
+            if join(a, b) not in members:
+                return a, b, "join"
     return None
 
 
@@ -115,7 +121,7 @@ def check_median_theorem(satisfying, rng_seed=42):
     return tuple(sorted(
         (family, j, g)
         for family in families
-        for j, g in enumerate(generalized_medians(family), start=1)
+        for j, g in enumerate(_medians(family), start=1)
         if g not in members
     ))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 from math import prod
 
@@ -153,9 +154,11 @@ def _lattice_checks(rng, cfg, inv, tag, members, is_member, subsets, rows, noun)
 
     `rows` are the closure and median counters. Each median must pass
     `is_member`, an oracle that does not enumerate, and also be one of the
-    enumerated `members`.
+    enumerated `members`. The pure oracle is memoized for this call alone, so
+    each distinct median is judged once and each failing median reported.
     """
     closure, medians = rows
+    is_member = cache(is_member)
     member_set = set(members)
     for _ in range(cfg.closure_pairs):
         closure.checked += 1

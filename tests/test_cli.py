@@ -156,6 +156,16 @@ def test_lattice_check_regular(capsys, tmp_path):
     assert out.strip() == "violation: (1,0) (0,1) meet"
 
 
+def test_lattice_commands_refuse_mixed_lengths(capsys, tmp_path):
+    # the first pair's meet leaves the set, yet the shape is refused first
+    vfile = tmp_path / "mixed.txt"
+    vfile.write_text("(0,1)\n(1,0)\n(2)\n")
+    for command in ("check-regular", "medians"):
+        report, out = run(capsys, "lattice", command, "--vectors", str(vfile))
+        assert report.exit_code == 1
+        assert out == "ShapeMismatch: vector lengths differ: 2 vs 1\n"
+
+
 def test_domain_errors_report_class_name(capsys, tmp_path):
     report, out = run(capsys, "smp", "solve", str(tmp_path / "missing.txt"))
     assert report.exit_code == 1 and out.startswith("FileError")

@@ -133,17 +133,30 @@ def test_check_regular_reports_first_violation():
     assert check_regular([(0, 0), (1, 0), (0, 1)]) == ((1, 0), (0, 1), "join")
 
 
+def test_check_regular_refuses_mixed_lengths():
+    # the meet of the first pair leaves the set, but the shape is checked first
+    with pytest.raises(ShapeMismatch):
+        check_regular([(0, 1), (1, 0), (2,)])
+    assert check_regular([]) is None
+
+
+def test_theorem_check_refuses_mixed_lengths_before_the_gate():
+    # not NotRegular: the shape is refused before any pair is scanned
+    with pytest.raises(ShapeMismatch):
+        check_median_theorem([(0, 1), (1, 0), (2,)])
+
+
 @pytest.fixture
 def seen_families(monkeypatch):
-    # every family check_median_theorem hands to generalized_medians
+    # every family check_median_theorem hands to the medians kernel
     seen = []
-    real = lattice_median.generalized_medians
+    real = lattice_median._medians
 
     def record(family):
         seen.append(tuple(family))
         return real(family)
 
-    monkeypatch.setattr(lattice_median, "generalized_medians", record)
+    monkeypatch.setattr(lattice_median, "_medians", record)
     return seen
 
 
@@ -181,14 +194,14 @@ def test_theorem_check_sampled_path_is_deterministic(seen_families):
 def test_theorem_check_reports_a_median_that_leaves_the_set(monkeypatch):
     # force the lower median of one pair outside the (closed) square
     square = list(product((0, 1), repeat=2))
-    real = lattice_median.generalized_medians
+    real = lattice_median._medians
     bad = ((0, 1), (1, 0))
 
     def leaky(family):
         got = real(family)
         return [(5, 5)] + got[1:] if tuple(family) == bad else got
 
-    monkeypatch.setattr(lattice_median, "generalized_medians", leaky)
+    monkeypatch.setattr(lattice_median, "_medians", leaky)
     assert check_median_theorem(square) == ((bad, 1, (5, 5)),)
 
 

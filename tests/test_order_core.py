@@ -455,6 +455,20 @@ def test_round_trip_refuses_vectors_of_no_lattice():
         assert refusal(vectors) == NO_BIJECTION
 
 
+def test_explicit_lattice_masks_match_the_pairwise_order():
+    # the threshold masks against the definition: bit i of down[j] exactly
+    # when u_i <= v_j in every coordinate
+    rng = random.Random(47)
+    for _ in range(600):
+        d = rng.randint(0, 4)
+        vectors = list({tuple(rng.randint(0, 3) for _ in range(d))
+                        for _ in range(rng.randint(1, 12))})
+        rng.shuffle(vectors)
+        want = tuple(sum(1 << i for i, u in enumerate(vectors) if all(map(le, u, v)))
+                     for v in vectors)
+        assert explicit_lattice(vectors).down == want
+
+
 def test_explicit_lattice_meets_are_read_off_the_masks():
     # a lattice under the componentwise order that is not closed under
     # componentwise min: the meet of (1, 2) and (2, 1) is the bottom
@@ -655,6 +669,24 @@ def test_birkhoff_round_trip_checks_the_order_beyond_the_bijection():
     poset = poset_from_covers(["0", "a", "b", "c", "x", "u", "v", "y"], covers)
     assert join_irreducibles(poset).elements == ("a", "b", "c")
     with pytest.raises(NotALattice, match="^order not preserved between x and y$"):
+        birkhoff_round_trip(poset)
+
+
+def test_birkhoff_order_check_names_the_first_pair_in_row_major_order():
+    # the 16 subsets of the atoms a, b, c, d, each pair above its two atoms
+    # and each triple above some of its pairs: abd is above ab and ad but
+    # not bd, and acd and bcd are not above cd. The images are the 16 ideals
+    # of the antichain, yet bd and cd lie below no triple holding them. In
+    # row-major order (cd, acd) comes first; by columns (bd, abd) would, and
+    # the last pair of cd's row is (cd, bcd)
+    pairs = ["cd", "ab", "ac", "ad", "bc", "bd"]
+    triple_pairs = {"abd": "ab ad", "abc": "ab ac bc", "acd": "ac ad", "bcd": "bc bd"}
+    covers = [("0", a) for a in "abcd"] + [(a, p) for p in pairs for a in p]
+    covers += [(p, t) for t, ps in triple_pairs.items() for p in ps.split()]
+    covers += [(t, "abcd") for t in triple_pairs]
+    poset = poset_from_covers(["0", *"abcd", *pairs, *triple_pairs, "abcd"], covers)
+    assert join_irreducibles(poset).elements == tuple("abcd")
+    with pytest.raises(NotALattice, match="^order not preserved between cd and acd$"):
         birkhoff_round_trip(poset)
 
 

@@ -276,3 +276,40 @@ def test_proposal_extremes_catch_a_wrong_proposal_side(monkeypatch, swapped):
     failures = next(r for r in rows if r.name == "smp-proposal-extremes").failures
     assert any("walk from the women's side" in f for f in failures) == ("men" in swapped)
     assert any("women-optimal" in f for f in failures) == ("women" in swapped)
+
+
+def test_smp_oracle_judges_each_median_once_per_instance(monkeypatch):
+    real, calls = stable_matching.stability_report, []
+
+    def record(inst, g):
+        calls.append((inst, g))  # holding inst keeps its id from being reused
+        return real(inst, g)
+
+    monkeypatch.setattr(stable_matching, "stability_report", record)
+    stab, _, _ = smp_battery(random.Random(5), VerifyConfig(instances=30, trials=3),
+                             PropertyResult("median-invariants"))
+    keys = [(id(inst), g) for inst, g in calls]
+    assert stab.passed and stab.checked == 314
+    assert 0 < len(keys) < stab.checked and len(set(keys)) == len(keys)
+
+
+def test_smp_median_row_reports_every_rejected_median(monkeypatch):
+    # an oracle that rejects one median: each time that median comes out
+    # it gives one failure line, however often the oracle was asked
+    target, real = (0, 0, 1, 1), stable_matching.stability_report
+    medians, seen = verify.generalized_medians, []
+
+    def rejecting(inst, g):
+        return stable_matching.StabilityReport(False, ()) if g == target else real(inst, g)
+
+    def record(family):
+        out = medians(family)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(stable_matching, "stability_report", rejecting)
+    monkeypatch.setattr(verify, "generalized_medians", record)
+    stab, _, _ = smp_battery(random.Random(5), VerifyConfig(instances=30, trials=3),
+                             PropertyResult("median-invariants"))
+    assert len(stab.failures) == seen.count(target) == 14
+    assert all(f.endswith(f" gave {target}, not stable") for f in stab.failures)
