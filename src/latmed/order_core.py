@@ -12,9 +12,9 @@ own meets and joins, read off its masks (there the meet of (1,2) and
 (2,1) is (0,0), not the componentwise (1,1), which is no element).
 
 Values are immutable once built, and all operations are pure functions,
-so values can be shared freely across threads. A Poset computes `index`,
-`up` and its Birkhoff decomposition on first use and caches each; they
-are equal whichever thread computes them.
+so values can be shared freely across threads. A Poset computes its
+Birkhoff decomposition on first use and caches it; it is equal whichever
+thread computes it.
 """
 
 from __future__ import annotations
@@ -213,24 +213,12 @@ class Poset:
     every mask holds its own bit. It has two builders: `poset_from_covers`
     from cover pairs, and `explicit_lattice` from distinct count vectors.
     Neither checks for a lattice; `birkhoff_round_trip` decides whether the
-    order is a distributive one. Everything else is read off the masks.
+    order is a distributive one. Everything else is read off the masks; the
+    one view cached is `irreducible_images`.
     """
 
     elements: tuple
     down: tuple
-
-    @cached_property
-    def index(self):
-        return {x: i for i, x in enumerate(self.elements)}
-
-    @cached_property
-    def up(self):
-        """Per-element bitmask of the elements at or above it."""
-        up = [0] * len(self.down)
-        for i, d in enumerate(self.down):
-            for j in _bits(d):
-                up[j] |= 1 << i
-        return tuple(up)
 
     @cached_property
     def irreducible_images(self):
@@ -300,10 +288,14 @@ def chain_partition(poset: Poset):
     right copy, connect u -> v whenever u < v strictly, take a maximum
     matching and read chains off the matched successor links. The number
     of chains equals n - |matching|, which is the maximum antichain size.
-    Deterministic: vertices and adjacency follow the input label order.
+    Deterministic: each element's strict successors are read off the down
+    masks in one pass, listed in label order like the vertices.
     """
     n = len(poset.elements)
-    adj = [list(_bits(u ^ (1 << i))) for i, u in enumerate(poset.up)]
+    adj = [[] for _ in range(n)]
+    for i, d in enumerate(poset.down):
+        for j in _bits(d ^ 1 << i):
+            adj[j].append(i)
     match_l, match_r, _ = bipartite.max_matching(n, n, adj)
 
     chains = []
@@ -350,7 +342,7 @@ def all_ideals(poset: Poset, chains):
     the ideal's members lie on that chain. Refuses more than ENUM_LIMIT
     ideals.
     """
-    idx = poset.index
+    idx = {x: i for i, x in enumerate(poset.elements)}
     masks = [sum(1 << idx[x] for x in chain) for chain in chains]
     return sorted(
         tuple((m & c).bit_count() for c in masks) for m in _ideal_masks(poset.down)

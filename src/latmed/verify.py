@@ -92,6 +92,8 @@ class VerifyConfig:
                          "median_families", "gate_trials"):
                 put(name, max(1, round(getattr(self, name) * scale)))
         if self.max_n is not None:
+            if self.max_n < 1:
+                raise OutOfBounds(f"max_n must be positive, got {self.max_n}")
             put("smp_n_max", max(self.smp_n_min, min(self.max_n, self.smp_n_max)))
             put("market_n_max", max(self.market_n_min, min(self.max_n, self.market_n_max)))
 
@@ -402,26 +404,18 @@ def _ideal_lattice(elements, covers):
 
 def fixed_lattices():
     """Five handcrafted distributive lattices of varied shape."""
-    divisors = [d for d in range(1, 61) if 60 % d == 0]
     return [
         ("ideals-of-n-poset", _ideal_lattice(
             ["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])),
         ("boolean-cube-3", explicit_lattice(product((0, 1), repeat=3))),
-        ("divisors-of-60", explicit_lattice(
-            [tuple(_multiplicity(d, p) for p in (2, 3, 5)) for d in divisors])),
+        ("divisors-of-60", explicit_lattice(sorted(  # exponents of 2, 3, 5, by divisor
+            product(range(3), range(2), range(2)),
+            key=lambda e: 2 ** e[0] * 3 ** e[1] * 5 ** e[2]))),
         ("ideals-of-fence-5", _ideal_lattice(
             ["v", "w", "x", "y", "z"],
             [("v", "w"), ("x", "w"), ("x", "y"), ("z", "y")])),
         ("boolean-cube-4", explicit_lattice(product((0, 1), repeat=4))),
     ]
-
-
-def _multiplicity(n, p):
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def birkhoff_battery(max_elements):

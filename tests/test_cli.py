@@ -358,7 +358,8 @@ def test_verify_zero_trials_empty_report(capsys):
 
 
 def test_verify_rejects_negative_counts(capsys):
-    for flags in (["--trials", "-1", "--instances", "2"], ["--instances", "-3"]):
+    for flags in (["--trials", "-1", "--instances", "2"], ["--instances", "-3"],
+                  ["--max-n", "0", "--instances", "2"], ["--max-n", "-5", "--instances", "2"]):
         report, out = run(capsys, "repro", "verify", *flags)
         assert report.exit_code == 1 and out.startswith("OutOfBounds")
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latmed
-from latmed import errors, order_core
+from latmed import bipartite, errors, order_core
 from latmed.errors import (
     CycleDetected,
     EmptyInput,
@@ -42,8 +42,14 @@ from latmed.verify import block_swap_instance, chain_product_lattices, fixed_lat
 
 
 def is_leq(poset, a, b):
-    idx = poset.index
-    return bool(poset.down[idx[b]] >> idx[a] & 1)
+    els = poset.elements
+    return bool(poset.down[els.index(b)] >> els.index(a) & 1)
+
+
+def up_masks(poset):
+    # oracle: bit i of up[j] exactly when bit j of down[i], element by element
+    n = len(poset.down)
+    return [sum(1 << i for i in range(n) if poset.down[i] >> j & 1) for j in range(n)]
 
 
 def random_poset(rng, n, density=0.3, shuffled=False):
@@ -327,17 +333,36 @@ def test_relation_is_transitive_closure():
     assert not is_leq(p, "c", "a")
 
 
+def matched_chains(p):
+    # reference: Kuhn's matching on the strict successors, each list in label
+    # order, and the chains read off its links from each unmatched head
+    els, n = p.elements, len(p.elements)
+    ref = [[i for i in range(n) if i != j and is_leq(p, els[j], els[i])] for j in range(n)]
+    match_l, match_r, _ = bipartite.max_matching(n, n, ref)
+    chains = []
+    for head in (i for i in range(n) if match_r[i] == -1):
+        chain = [head]
+        while match_l[chain[-1]] != -1:
+            chain.append(match_l[chain[-1]])
+        chains.append(tuple(els[i] for i in chain))
+    return tuple(chains)
+
+
 def test_chain_partition_is_minimum():
+    # the chains are also pinned to one matching: repro verify's two ideal
+    # lattices are written in the counts over them
     rng = random.Random(5)
-    for _ in range(60):
-        p = random_poset(rng, rng.randint(1, 9))
-        cp = chain_partition(p)
-        seen = [x for chain in cp for x in chain]
-        assert sorted(seen) == sorted(p.elements)  # a partition
-        for chain in cp:
-            for lo, hi in zip(chain, chain[1:]):
-                assert is_leq(p, lo, hi)
-        assert len(cp) == brute_force_max_antichain(p)
+    for shuffled in (False, True):
+        for _ in range(60):
+            p = random_poset(rng, rng.randint(1, 9), shuffled=shuffled)
+            cp = chain_partition(p)
+            seen = [x for chain in cp for x in chain]
+            assert sorted(seen) == sorted(p.elements)  # a partition
+            for chain in cp:
+                for lo, hi in zip(chain, chain[1:]):
+                    assert is_leq(p, lo, hi)
+            assert len(cp) == brute_force_max_antichain(p)
+            assert cp == matched_chains(p)
 
 
 def test_all_ideals_matches_subset_filter():
@@ -428,7 +453,8 @@ def test_explicit_lattice_meets_joins_componentwise():
                             fresh.append(c)
             frontier = fresh
         lat = explicit_lattice(sorted(closed))
-        idx, down, up = lat.index, lat.down, lat.up
+        idx = {x: i for i, x in enumerate(lat.elements)}
+        down, up = lat.down, up_masks(lat)
         for a in lat.elements:
             for b in lat.elements:
                 assert down[idx[meet(a, b)]] == down[idx[a]] & down[idx[b]]
@@ -553,8 +579,8 @@ def test_join_irreducibles_match_lower_cover_filter():
         jp = join_irreducibles(lat)
         assert jp.elements == tuple(irr)
         check_irreducible_order(lat, jp)
-        # lat.index is by vector, and family[i] is lattice element i
-        down, up = lat.down, lat.up
+        # family[i] is lattice element i
+        down, up = lat.down, up_masks(lat)
         pos = {f: i for i, f in enumerate(family)}
         for i, a in enumerate(family):
             for j in range(i, len(family)):
